@@ -56,7 +56,7 @@ const obj::TypeInfo* TimerType();
 //   0 send(dst_ip, ports, payload_vaddr, len) -> 0/~0   ports = src<<16 | dst
 //   1 bind_port(port)                          -> 0/~0  (datagrams are queued)
 //   2 recv(port, dest_vaddr, capacity)         -> payload length, 0 if none
-//   3 stats(index)                             -> counter (see StackStats order)
+//   3 stats(index)                             -> counter (see net::kStackStatsSlots)
 const obj::TypeInfo* StackType();
 
 // Thread package.

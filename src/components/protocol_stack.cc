@@ -134,28 +134,11 @@ uint64_t StackComponent::Recv(uint64_t port, uint64_t dest_vaddr, uint64_t capac
 }
 
 uint64_t StackComponent::Stats(uint64_t index, uint64_t, uint64_t, uint64_t) {
-  static_assert(std::size(kStackStatsSlotNames) == 13,
-                "stats slot table out of step with the switch below");
-  const net::StackStats& s = stack_->stats();
-  switch (index) {
-    case 0: return s.frames_out;
-    case 1: return s.frames_in;
-    case 2: return s.datagrams_out;
-    case 3: return s.datagrams_in;
-    case 4: return s.drops_bad_frame;
-    case 5: return s.drops_not_for_us;
-    case 6: return s.drops_no_socket;
-    case 7: return s.drops_filtered;
-    case 8: return s.filter_pass;
-    case 9: return s.filter_drop;
-    case 10: return s.filter_reject;
-    // Slot 11 reported the retired per-stack count-verdict tally; counting
-    // is a filter procedure now (FilterType slot 0, index 4). The slot stays
-    // reserved so callers indexing past it keep their numbering.
-    case 11: return 0;
-    case 12: return s.filter_ttl_rewrites;
-    default: return 0;
+  // Reserved slots (null field) and indices past the table read 0.
+  if (index >= std::size(net::kStackStatsSlots) || net::kStackStatsSlots[index].field == nullptr) {
+    return 0;
   }
+  return stack_->stats().*net::kStackStatsSlots[index].field;
 }
 
 }  // namespace para::components

@@ -15,7 +15,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "src/components/interfaces.h"
 #include "src/net/stack.h"
@@ -25,18 +24,6 @@
 #include "src/obj/object.h"
 
 namespace para::components {
-
-// Names for StackType slot 3 (`stats(index)`), in index order — the single
-// source of truth tying the numbered control-interface slots to the
-// `net.stack.<host>.<name>` registry metrics (see ProtocolStack's ctor) and
-// to the slot-map test. Slot 11 is reserved (the retired per-stack
-// count-verdict tally) and always reads 0.
-inline constexpr std::string_view kStackStatsSlotNames[] = {
-    "frames_out",     "frames_in",   "datagrams_out", "datagrams_in",
-    "drops_bad_frame", "drops_not_for_us", "drops_no_socket", "drops_filtered",
-    "filter_pass",    "filter_drop", "filter_reject", "",  // 11: reserved
-    "filter_ttl_rewrites",
-};
 
 class StackComponent : public obj::Object {
  public:

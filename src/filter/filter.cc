@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
-#include <optional>
 
 #include "src/base/log.h"
 #include "src/sfi/verifier.h"
@@ -40,6 +39,31 @@ uint64_t SplitMix64(uint64_t x) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
   return x ^ (x >> 31);
 }
+
+// The verdict every fail-closed path returns: a default-rule drop.
+constexpr uint64_t kFailClosed = EncodeVerdict(FilterVerdict::kDrop, 0, net::kDefaultRuleIndex);
+
+// Marshals `view` into descriptor slot `slot` of `vm`'s memory. False when
+// the slot does not fit in the memory the VM really has: vm() is mutable, and
+// a shrunk memory must fail closed, never be written past.
+inline bool WriteSlot(sfi::Vm& vm, size_t slot, const net::PacketView& view,
+                      size_t payload_bytes) {
+  const std::span<uint8_t> memory(vm.memory());
+  const size_t off = slot * kFilterBatchSlot;
+  if (off >= memory.size()) {
+    return false;
+  }
+  return WritePacketDescriptor(
+      view, memory.subspan(off, std::min(kFilterBatchSlot, memory.size() - off)), payload_bytes);
+}
+
+// Converts to a freshly opened classifier burst, so std::optional::emplace
+// constructs the Burst in place: moving a temporary in costs a measurable
+// store-to-load round trip on every chunk.
+struct OpenBurst {
+  sfi::Vm& vm;
+  operator sfi::Vm::Burst() const { return vm.BeginBurst(0); }
+};
 
 }  // namespace
 
@@ -130,8 +154,8 @@ void PacketFilter::RegisterMetrics() {
   // snapshot time — the numbered control interface and the registry can
   // never disagree. (Raw-pointer aliases would register one per shard under
   // suffixed names; a closure merges instead.)
-  for (size_t i = 0; i < std::size(kFilterStatsSlotNames); ++i) {
-    metrics_.Fn(prefix + std::string(kFilterStatsSlotNames[i]),
+  for (size_t i = 0; i < std::size(kFilterStatsSlots); ++i) {
+    metrics_.Fn(prefix + std::string(kFilterStatsSlots[i].name),
                 [this, i] { return StatsSlot(i, 0, 0, 0); },
                 i == 14 ? telemetry::MetricKind::kGauge : telemetry::MetricKind::kCounter);
   }
@@ -161,7 +185,7 @@ void PacketFilter::RegisterMetrics() {
   }
   metrics_.Fn(prefix + "flow.live", [this] { return flow_count(); },
               telemetry::MetricKind::kGauge);
-  metrics_.Fn(prefix + "rules", [this] { return static_cast<uint64_t>(LiveGen()->rule_count); },
+  metrics_.Fn(prefix + "rules", [this] { return static_cast<uint64_t>(rule_count()); },
               telemetry::MetricKind::kGauge);
   metrics_.Fn(prefix + "shards", [this] { return static_cast<uint64_t>(shards_.size()); },
               telemetry::MetricKind::kGauge);
@@ -386,24 +410,35 @@ void PacketFilter::NotifyVerdict(Shard& shard, const FilterDecision& decision,
   RaiseEvent(shard, EncodeFilterEvent(decision.verdict, dir, /*proc=*/0, decision.rule));
 }
 
-// Runs the installed classifier over `view`, failing closed on marshalling
-// or VM faults. Pure classification: verdict counters are the caller's job.
-uint64_t PacketFilter::Classify(Shard& shard, LoadedProgram& gen, const net::PacketView& view) {
-  sfi::Vm& vm = gen.shards[shard.index]->vm;
+uint64_t PacketFilter::RunClassifier(Shard& shard, Chunk& chunk, size_t slot,
+                                     const net::PacketView& view) {
+  if (chunk.verdicts != nullptr) {
+    // The stateless pre-pass already classified this slot.
+    if (chunk.verdicts[2 * slot + 1] != 0) [[unlikely]] {
+      ++shard.stats.vm_faults;
+      return kFailClosed;
+    }
+    return chunk.verdicts[2 * slot];
+  }
+  LoadedProgram& gen = chunk.gen;
+  ShardExec& exec = *gen.shards[shard.index];
   // On sampled packets the pipeline stages mark their completion in the
   // trace ring, inside the enclosing "filter.classify" span.
   const bool traced = telemetry::kEnabled && shard.trace_sample_active;
-  if (!WritePacketDescriptor(view, vm.memory(), gen.payload_bytes_needed)) {
-    // The VM memory cannot hold the descriptor. Running anyway would
-    // classify whatever descriptor is still in memory — the *previous*
-    // packet. Fail closed instead.
+  if (!WriteSlot(exec.vm, slot, view, gen.payload_bytes_needed)) {
+    // Running anyway would classify whatever descriptor is still in the
+    // slot — an earlier packet's. Fail closed instead.
     ++shard.stats.descriptor_faults;
-    return EncodeVerdict(FilterVerdict::kDrop, 0, net::kDefaultRuleIndex);
+    return kFailClosed;
   }
   if (traced) [[unlikely]] {
     PARA_TRACE_INSTANT("filter.descriptor_marshal", gen.payload_bytes_needed);
   }
-  Result<uint64_t> run = vm.Run(0);
+  if (((chunk.open_bursts >> shard.index) & 1) == 0) {
+    exec.burst.emplace(OpenBurst{exec.vm});
+    chunk.open_bursts |= uint64_t{1} << shard.index;
+  }
+  Result<uint64_t> run = exec.burst->Call(slot * kFilterBatchSlot);
   if (traced) [[unlikely]] {
     PARA_TRACE_INSTANT("filter.tree_dispatch", run.ok() ? *run : ~uint64_t{0});
   }
@@ -411,7 +446,7 @@ uint64_t PacketFilter::Classify(Shard& shard, LoadedProgram& gen, const net::Pac
     // A compiled program cannot fault, but an SFI violation in a sandboxed
     // one must fail closed: the packet is dropped, not let through.
     ++shard.stats.vm_faults;
-    return EncodeVerdict(FilterVerdict::kDrop, 0, net::kDefaultRuleIndex);
+    return kFailClosed;
   }
   return *run;
 }
@@ -507,10 +542,9 @@ void PacketFilter::RunChain(Shard& shard, LoadedProgram& gen, FilterDecision* de
   }
 }
 
-template <bool kSampled, typename ClassifyFn>
-FilterDecision PacketFilter::EvaluateOn(Shard& shard, LoadedProgram& gen,
-                                        const net::PacketView& view, FilterDirection dir,
-                                        ClassifyFn&& classify) {
+FilterDecision PacketFilter::EvaluateOn(Shard& shard, Chunk& chunk, size_t slot,
+                                        const net::PacketView& view, FilterDirection dir) {
+  LoadedProgram& gen = chunk.gen;
   ++shard.stats.evaluated;
 
   FlowKey key{view.src_ip, view.dst_ip, view.src_port, view.dst_port, view.proto};
@@ -569,7 +603,7 @@ FilterDecision PacketFilter::EvaluateOn(Shard& shard, LoadedProgram& gen,
         fwd.src_port = forward.src_port;
         fwd.dst_port = forward.dst_port;
         fwd.proto = forward.proto;
-        uint64_t encoded = classify(fwd, /*synthetic=*/true);
+        uint64_t encoded = RunClassifier(shard, chunk, slot, fwd);
         FilterDecision decision = DecodeVerdict(encoded);
         // The dispatch verdict re-admits (or not) on the synthetic forward
         // view; the procedures judge the packet actually in hand.
@@ -593,25 +627,24 @@ FilterDecision PacketFilter::EvaluateOn(Shard& shard, LoadedProgram& gen,
   // Classifier path: sampled 1-in-32 for per-verdict latency histograms and
   // a "filter.classify" trace span (the stages inside mark themselves when
   // the sample is active). The flow-hit paths above stay uninstrumented —
-  // their telemetry is all snapshot-time aliases. The batch path never
-  // samples (kSampled = false): sampling state is per shard and the stats
-  // the differential test compares never see it.
+  // their telemetry is all snapshot-time aliases. Sampling state is per
+  // shard, and the stats the differential test compares never see it.
   uint64_t classify_t0 = 0;
-  if constexpr (kSampled && telemetry::kEnabled) {
+  if constexpr (telemetry::kEnabled) {
     shard.trace_sample_active = (++shard.telemetry_sample & 31) == 0;
     if (shard.trace_sample_active) [[unlikely]] {
       telemetry::EmitTrace("filter.classify", telemetry::TracePhase::kBegin, 0);
       classify_t0 = telemetry::TraceClock();
     }
   }
-  uint64_t encoded = classify(view, /*synthetic=*/false);
+  uint64_t encoded = RunClassifier(shard, chunk, slot, view);
   FilterDecision decision = DecodeVerdict(encoded);
   const bool admitted = VerdictPasses(decision.verdict);
   if (decision.chain != 0) {  // chain-less verdicts skip the call entirely
     RunChain(shard, gen, &decision, view, dir);
   }
   CountVerdict(shard, decision, dir);
-  if constexpr (kSampled && telemetry::kEnabled) {
+  if constexpr (telemetry::kEnabled) {
     if (shard.trace_sample_active) [[unlikely]] {
       RecordClassifyLatency(decision.verdict, telemetry::TraceClock() - classify_t0);
       shard.trace_sample_active = false;
@@ -631,13 +664,8 @@ FilterDecision PacketFilter::EvaluateOn(Shard& shard, LoadedProgram& gen,
 }
 
 FilterDecision PacketFilter::Evaluate(const net::PacketView& view, FilterDirection dir) {
-  Shard& shard = *shards_[SteerShard(view)];
-  AnnounceShard(shard);
-  LoadedProgram& gen = *LoadLivePinned();
-  FilterDecision decision = EvaluateOn<true>(
-      shard, gen, view, dir,
-      [this, &shard, &gen](const net::PacketView& v, bool) { return Classify(shard, gen, v); });
-  UnpinShard(shard);
+  FilterDecision decision;
+  EvaluateChunk(std::span<const net::PacketView>(&view, 1), dir, &decision);
   return decision;
 }
 
@@ -651,123 +679,63 @@ void PacketFilter::EvaluateChunk(std::span<const net::PacketView> views, FilterD
     shard_of[i] = static_cast<uint8_t>(s);
     touched |= uint64_t{1} << s;
   }
+  // Visits every touched shard. Single-shard chunks — every chunk of one,
+  // every steered per-RX-queue burst — skip the bit walk.
+  auto for_each_touched = [&](auto&& fn) {
+    if (touched == uint64_t{1} << shard_of[0]) {
+      fn(*shards_[shard_of[0]]);
+      return;
+    }
+    for (uint64_t bits = touched; bits != 0; bits &= bits - 1) {
+      fn(*shards_[static_cast<size_t>(std::countr_zero(bits))]);
+    }
+  };
   // Pin every touched shard, then resolve the generation ONCE: the whole
   // chunk evaluates against one rule-set generation, and a concurrent
   // reload cannot reclaim it until every one of these shards unpins.
-  for (uint64_t bits = touched; bits != 0; bits &= bits - 1) {
-    AnnounceShard(*shards_[static_cast<size_t>(std::countr_zero(bits))]);
-  }
-  LoadedProgram& gen = *LoadLivePinned();
+  for_each_touched([this](Shard& shard) { AnnounceShard(shard); });
+  Chunk chunk{*LoadLivePinned()};
 
-  // Marshal every descriptor up front, packet i into slot i of its shard's
-  // VM memory — one pass of cache-friendly copies instead of a marshal
-  // interleaved with every VM entry. Failures are deferred: the single-packet
-  // path only counts a descriptor fault when the classifier actually runs
-  // (a flow hit never marshals), so the batch path must too. Single-shard
-  // chunks (every steered per-RX-queue burst) hoist the slot base out of the
-  // loop — the general walk re-derives it per packet through the shard table.
-  const bool single_shard = (touched & (touched - 1)) == 0;
-  const size_t s0 = static_cast<size_t>(std::countr_zero(touched));
-  uint64_t marshal_failed = 0;
-  if (single_shard) {
-    uint8_t* const slots = gen.shards[s0]->vm.memory().data();
-    for (size_t i = 0; i < n; ++i) {
-      std::span<uint8_t> slot(slots + i * kFilterBatchSlot, kFilterBatchSlot);
-      if (!WritePacketDescriptor(views[i], slot, gen.payload_bytes_needed)) {
-        marshal_failed |= uint64_t{1} << i;
-      }
+  // Stateless single-shard chunks on the JIT (the steered per-RX-queue shape
+  // with flow tracking off) send every packet to the classifier, so the
+  // VM's burst trampoline can classify all slots in ONE native entry up
+  // front; the loop below then reads the verdicts instead of entering the
+  // VM per packet. Flow tracking keeps classification lazy — a flow hit
+  // never runs the VM, and an insert from packet i can turn packet j>i into
+  // a hit — and a chunk of one has no entry cost to amortize. Classify order
+  // and per-slot metering are CallMany's contract, so stats stay
+  // differential-identical. If a slot does not fit or CallMany declines,
+  // the loop classifies per packet as usual.
+  uint64_t pairs[2 * kMaxFilterBatch];
+  if (!config_.track_flows && n > 1 && (touched & (touched - 1)) == 0) {
+    ShardExec& exec = *chunk.gen.shards[shard_of[0]];
+    bool marshalled = exec.vm.backend() == sfi::VmBackend::kJit;
+    for (size_t i = 0; marshalled && i < n; ++i) {
+      marshalled = WriteSlot(exec.vm, i, views[i], chunk.gen.payload_bytes_needed);
     }
-  } else {
-    for (size_t i = 0; i < n; ++i) {
-      sfi::Vm& vm = gen.shards[shard_of[i]]->vm;
-      std::span<uint8_t> slot(vm.memory().data() + i * kFilterBatchSlot, kFilterBatchSlot);
-      if (!WritePacketDescriptor(views[i], slot, gen.payload_bytes_needed)) {
-        marshal_failed |= uint64_t{1} << i;
+    if (marshalled) {
+      exec.burst.emplace(OpenBurst{exec.vm});
+      chunk.open_bursts = touched;
+      if (exec.burst->CallMany(0, kFilterBatchSlot, n, pairs)) {
+        chunk.verdicts = pairs;
       }
-    }
-  }
-
-  // One Vm::Burst per touched shard, opened lazily: JitContext invariants
-  // written once, VmStats/telemetry flushed once, entered once per packet.
-  std::optional<sfi::Vm::Burst> bursts[kMaxFilterShards];
-
-  // Single-shard, flow-tracking-off chunks (the steered per-RX-queue shape)
-  // hand the whole descriptor walk to the VM's burst trampoline: one entry
-  // into generated code classifies every slot, instead of one host round
-  // trip per packet, and the evaluation loop reads verdicts straight out of
-  // the [result, fault] pairs. Flow tracking keeps the per-packet path
-  // below — classification must stay lazy there (a flow hit never runs the
-  // VM, and an insert from packet i can turn packet j>i into a hit), which
-  // an eager sweep cannot reproduce. Classify order and per-slot metering
-  // are unchanged (CallMany's contract), so stats stay
-  // differential-identical.
-  if (!config_.track_flows && marshal_failed == 0 && single_shard) {
-    uint64_t vm_pairs[2 * kMaxFilterBatch];
-    bursts[s0].emplace(gen.shards[s0]->vm.BeginBurst(0));
-    if (bursts[s0]->CallMany(0, kFilterBatchSlot, n, vm_pairs)) {
-      Shard& shard = *shards_[s0];
-      for (size_t i = 0; i < n; ++i) {
-        // track_flows is off, so EvaluateOn can never take the synthetic
-        // re-decide path — the classifier result is always pair i.
-        out[i] = EvaluateOn<false>(shard, gen, views[i], dir,
-                                   [&](const net::PacketView&, bool) -> uint64_t {
-                                     if (vm_pairs[2 * i + 1] != 0) [[unlikely]] {
-                                       // Same fail-closed drop the per-packet
-                                       // path produces on a VM fault.
-                                       ++shard.stats.vm_faults;
-                                       return EncodeVerdict(FilterVerdict::kDrop, 0,
-                                                            net::kDefaultRuleIndex);
-                                     }
-                                     return vm_pairs[2 * i];
-                                   });
-      }
-      bursts[s0].reset();
-      UnpinShard(shard);
-      return;
     }
   }
 
   for (size_t i = 0; i < n; ++i) {
-    Shard& shard = *shards_[shard_of[i]];
-    ShardExec& exec = *gen.shards[shard_of[i]];
-    std::optional<sfi::Vm::Burst>& burst = bursts[shard_of[i]];
-    if (!burst.has_value()) {
-      burst.emplace(exec.vm.BeginBurst(0));
-    }
-    const bool failed = (marshal_failed >> i) & 1;
-    out[i] = EvaluateOn<false>(
-        shard, gen, views[i], dir,
-        [&, i](const net::PacketView& v, bool synthetic) -> uint64_t {
-          if (synthetic) {
-            // Stale-epoch reverse re-decide: overwrite this packet's slot
-            // with the synthetic forward view (the original descriptor is
-            // never consulted again on this path).
-            std::span<uint8_t> slot(exec.vm.memory().data() + i * kFilterBatchSlot,
-                                    kFilterBatchSlot);
-            if (!WritePacketDescriptor(v, slot, gen.payload_bytes_needed)) {
-              ++shard.stats.descriptor_faults;
-              return EncodeVerdict(FilterVerdict::kDrop, 0, net::kDefaultRuleIndex);
-            }
-          } else if (failed) {
-            ++shard.stats.descriptor_faults;
-            return EncodeVerdict(FilterVerdict::kDrop, 0, net::kDefaultRuleIndex);
-          }
-          Result<uint64_t> run = burst->Call(i * kFilterBatchSlot);
-          if (!run.ok()) {
-            ++shard.stats.vm_faults;
-            return EncodeVerdict(FilterVerdict::kDrop, 0, net::kDefaultRuleIndex);
-          }
-          return *run;
-        });
+    // One 8-byte store: a chunk of one's decision then stays one register
+    // (or one spill) across the unpin below, instead of four fields whose
+    // narrow spills the wide reload at return cannot forward from.
+    const uint64_t word =
+        std::bit_cast<uint64_t>(EvaluateOn(*shards_[shard_of[i]], chunk, i, views[i], dir));
+    out[i] = std::bit_cast<FilterDecision>(word);
   }
   // Close the bursts (flushing their deferred VM stats into the pinned
   // generation's VMs) BEFORE unpinning the shards.
-  for (std::optional<sfi::Vm::Burst>& burst : bursts) {
-    burst.reset();
+  for (uint64_t bits = chunk.open_bursts; bits != 0; bits &= bits - 1) {
+    chunk.gen.shards[static_cast<size_t>(std::countr_zero(bits))]->burst.reset();
   }
-  for (uint64_t bits = touched; bits != 0; bits &= bits - 1) {
-    UnpinShard(*shards_[static_cast<size_t>(std::countr_zero(bits))]);
-  }
+  for_each_touched([this](Shard& shard) { UnpinShard(shard); });
 }
 
 void PacketFilter::EvaluateBatch(std::span<const net::PacketView> views, FilterDirection dir,
@@ -797,28 +765,43 @@ net::FilterBatchHook PacketFilter::BatchHook() {
 FilterStats PacketFilter::MergedStats() const {
   FilterStats total;
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    const FilterStats& s = shard->stats;
-    total.evaluated += s.evaluated;
-    total.pass += s.pass;
-    total.drop += s.drop;
-    total.reject += s.reject;
-    total.proc_invocations += s.proc_invocations;
-    total.flow_hits += s.flow_hits;
-    total.flow_hits_reverse += s.flow_hits_reverse;
-    total.reloads += s.reloads;
-    total.events_raised += s.events_raised;
-    total.vm_faults += s.vm_faults;
-    total.descriptor_faults += s.descriptor_faults;
-    total.flow_reevaluations += s.flow_reevaluations;
-    total.proc_blocks += s.proc_blocks;
-    total.proc_faults += s.proc_faults;
+    for (const FilterStatsSlot& slot : kFilterStatsSlots) {
+      if (slot.field != nullptr) {
+        total.*slot.field += shard->stats.*slot.field;
+      }
+    }
   }
   return total;
 }
 
 FilterStats PacketFilter::stats() const { return MergedStats(); }
 
+sfi::ExecMode PacketFilter::mode() const {
+  std::lock_guard<std::mutex> lock(reload_mu_);
+  return LiveGen()->shards[0]->vm.mode();
+}
+
+size_t PacketFilter::rule_count() const {
+  std::lock_guard<std::mutex> lock(reload_mu_);
+  return LiveGen()->rule_count;
+}
+
+CompileBackend PacketFilter::backend() const {
+  std::lock_guard<std::mutex> lock(reload_mu_);
+  return LiveGen()->backend;
+}
+
+sfi::VmBackend PacketFilter::exec_backend() const {
+  std::lock_guard<std::mutex> lock(reload_mu_);
+  return LiveGen()->shards[0]->vm.backend();
+}
+
 sfi::VmStats PacketFilter::vm_stats() const {
+  std::lock_guard<std::mutex> lock(reload_mu_);
+  return VmStatsLocked();
+}
+
+sfi::VmStats PacketFilter::VmStatsLocked() const {
   sfi::VmStats total;
   for (const std::unique_ptr<ShardExec>& exec : LiveGen()->shards) {
     const sfi::VmStats& s = exec->vm.stats();
@@ -840,37 +823,30 @@ uint64_t PacketFilter::flow_count() const {
 }
 
 uint64_t PacketFilter::StatsSlot(uint64_t index, uint64_t, uint64_t, uint64_t) {
+  // Under reload_mu_: slots 14/15 read the installed generation, and a
+  // reload bumps `reloads` under the same lock.
+  std::lock_guard<std::mutex> lock(reload_mu_);
   // Execution-backend observability: silent fallback from the JIT to the
   // threaded loop must never masquerade as a JIT win in benchmarks or
   // integration assertions.
   if (index == 14) {
-    return exec_backend() == sfi::VmBackend::kJit ? 1 : 0;
+    return LiveGen()->shards[0]->vm.backend() == sfi::VmBackend::kJit ? 1 : 0;
   }
   if (index == 15) {
-    return vm_stats().jit_runs;
+    return VmStatsLocked().jit_runs;
   }
-  const FilterStats s = MergedStats();
-  switch (index) {
-    case 0: return s.evaluated;
-    case 1: return s.pass;
-    case 2: return s.drop;
-    case 3: return s.reject;
-    case 4: return s.proc_invocations;
-    case 5: return s.flow_hits;
-    case 6: return s.reloads;
-    case 7: return s.events_raised;
-    case 8: return s.vm_faults;
-    case 9: return s.flow_hits_reverse;
-    case 10: return s.descriptor_faults;
-    case 11: return s.flow_reevaluations;
-    case 12: return s.proc_blocks;
-    case 13: return s.proc_faults;
-    default: return 0;
+  if (index >= std::size(kFilterStatsSlots)) {
+    return 0;
   }
+  uint64_t sum = 0;
+  for (const std::unique_ptr<Shard>& shard : shards_) {
+    sum += shard->stats.*kFilterStatsSlots[index].field;
+  }
+  return sum;
 }
 
 uint64_t PacketFilter::RuleCountSlot(uint64_t, uint64_t, uint64_t, uint64_t) {
-  return LiveGen()->rule_count;
+  return rule_count();
 }
 
 uint64_t PacketFilter::ModeSlot(uint64_t, uint64_t, uint64_t, uint64_t) {

@@ -36,6 +36,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -58,7 +59,7 @@
 namespace para::filter {
 
 // Filter chain interface exported through the directory.
-//   0 stats(index)  -> counter (see FilterStats order)
+//   0 stats(index)  -> counter (see kFilterStatsSlots)
 //   1 rule_count()  -> rules in the installed set
 //   2 mode()        -> 0 sandboxed, 1 trusted
 //   3 flow_count()  -> live flow-table entries
@@ -86,25 +87,6 @@ constexpr uint16_t FilterEventProc(uint64_t detail) {
   return static_cast<uint16_t>((detail >> 5) & 0x7FF);
 }
 constexpr uint32_t FilterEventRule(uint64_t detail) {
-  return static_cast<uint32_t>(detail >> 32);
-}
-
-// Deprecated: the PR-5-era event encoding (verdict u8 | direction u8 |
-// rule << 32), kept only so out-of-tree monitors keep compiling. The filter
-// no longer raises this layout — migrate to EncodeFilterEvent and the
-// FilterEvent* decode helpers, which also carry the procedure id.
-constexpr uint64_t EncodeVerdictEvent(net::FilterVerdict verdict, net::FilterDirection dir,
-                                      uint32_t rule) {
-  return static_cast<uint64_t>(verdict) | (static_cast<uint64_t>(dir) << 8) |
-         (static_cast<uint64_t>(rule) << 32);
-}
-constexpr net::FilterVerdict VerdictEventVerdict(uint64_t detail) {
-  return static_cast<net::FilterVerdict>(detail & 0xFF);
-}
-constexpr net::FilterDirection VerdictEventDirection(uint64_t detail) {
-  return static_cast<net::FilterDirection>((detail >> 8) & 0xFF);
-}
-constexpr uint32_t VerdictEventRule(uint64_t detail) {
   return static_cast<uint32_t>(detail >> 32);
 }
 
@@ -178,37 +160,45 @@ struct FilterStats {
   uint64_t proc_faults = 0;           // procedure faulted/ran dry; packet dropped
 };
 
-// StatsSlot's slot order, by name. This array is the single source of truth
-// shared by the control interface, the telemetry aliases ("filter.<name>.*"
-// metrics are registered in this order), and the slot-map test — a new slot
-// added here without a matching StatsSlot case (or vice versa) fails the
-// table-driven test instead of silently aliasing a neighbour.
-inline constexpr std::string_view kFilterStatsSlotNames[] = {
-    "evaluated",           // 0
-    "pass",                // 1
-    "drop",                // 2
-    "reject",              // 3
-    "proc_invocations",    // 4
-    "flow_hits",           // 5
-    "reloads",             // 6
-    "events_raised",       // 7
-    "vm_faults",           // 8
-    "flow_hits_reverse",   // 9
-    "descriptor_faults",   // 10
-    "flow_reevaluations",  // 11
-    "proc_blocks",         // 12
-    "proc_faults",         // 13
-    "backend_jit",         // 14 (gauge: 1 when the installed VM runs the JIT)
-    "jit_runs",            // 15
+// One numbered stats slot: its name (also its "filter.<name>.*" registry
+// metric) and the per-shard FilterStats counter it sums across shards. This
+// table is the single source of truth shared by the control interface
+// (StatsSlot), the merged stats() view, the telemetry aliases (registered in
+// this order), and the slot-map test. A null field marks a computed slot.
+struct FilterStatsSlot {
+  std::string_view name;
+  uint64_t FilterStats::*field;
 };
+inline constexpr FilterStatsSlot kFilterStatsSlots[] = {
+    {"evaluated", &FilterStats::evaluated},                    // 0
+    {"pass", &FilterStats::pass},                              // 1
+    {"drop", &FilterStats::drop},                              // 2
+    {"reject", &FilterStats::reject},                          // 3
+    {"proc_invocations", &FilterStats::proc_invocations},      // 4
+    {"flow_hits", &FilterStats::flow_hits},                    // 5
+    {"reloads", &FilterStats::reloads},                        // 6
+    {"events_raised", &FilterStats::events_raised},            // 7
+    {"vm_faults", &FilterStats::vm_faults},                    // 8
+    {"flow_hits_reverse", &FilterStats::flow_hits_reverse},    // 9
+    {"descriptor_faults", &FilterStats::descriptor_faults},    // 10
+    {"flow_reevaluations", &FilterStats::flow_reevaluations},  // 11
+    {"proc_blocks", &FilterStats::proc_blocks},                // 12
+    {"proc_faults", &FilterStats::proc_faults},                // 13
+    {"backend_jit", nullptr},  // 14 (gauge: 1 when the installed VM runs the JIT)
+    {"jit_runs", nullptr},     // 15 (classifier VmStats::jit_runs)
+};
+static_assert(std::size(kFilterStatsSlots) - 2 == sizeof(FilterStats) / sizeof(uint64_t),
+              "every FilterStats counter needs a slot, or stats() would drop it");
 
-// Sharded data-plane limits. kMaxFilterShards bounds the steering set the
-// batch path tracks in one machine word; the batch constants fix the
-// descriptor-slot layout every shard Vm's memory is provisioned for: a burst
-// chunk marshals up to kMaxFilterBatch descriptors side by side at
-// kFilterBatchSlot-byte stride, then evaluates each by re-basing guest
-// address 0 onto its slot (one VM burst per shard per chunk, amortizing
-// JitContext setup and the native prologue across the burst).
+// Sharded data-plane limits. kMaxFilterShards bounds the steering set a
+// chunk tracks in one machine word; the batch constants fix the
+// descriptor-slot layout every shard Vm's memory is provisioned for. A
+// *chunk* is up to kMaxFilterBatch packets evaluated against one pinned
+// rule-set generation; packet i's *slot* is the kFilterBatchSlot-byte
+// descriptor area at offset i * kFilterBatchSlot of its shard VM's memory.
+// The classifier runs packet i by re-basing guest address 0 onto its slot
+// (one VM burst per shard per chunk, amortizing JitContext setup and the
+// native prologue across the burst).
 inline constexpr size_t kMaxFilterShards = 64;
 inline constexpr size_t kMaxFilterBatch = 64;    // packets per burst chunk
 inline constexpr size_t kFilterBatchSlot = 256;  // bytes per descriptor slot
@@ -234,22 +224,22 @@ class PacketFilter : public obj::Object {
   Status LoadCertified(const RuleSet& rules, nucleus::Certifier& certifier,
                        const nucleus::CertificationService& service);
 
-  // Evaluates one packet: flow-table fast path first (either direction),
-  // then the compiled classifier. A sandboxed program fault fails closed
-  // (drop). The packet is steered to its shard; the shard pins the live
-  // rule-set generation for the duration (epoch-based reclamation — a
-  // concurrent reload never frees a generation mid-evaluation when
-  // shards > 1; see AnnounceShard for the single-shard caveat).
+  // Evaluates one packet — a chunk of one: flow-table fast path first
+  // (either direction), then the compiled classifier. A sandboxed program
+  // fault fails closed (drop). The packet is steered to its shard; the shard
+  // pins the live rule-set generation for the duration (epoch-based
+  // reclamation — a concurrent reload never frees a generation
+  // mid-evaluation when shards > 1; see AnnounceShard for the single-shard
+  // caveat).
   net::FilterDecision Evaluate(const net::PacketView& view, net::FilterDirection dir);
 
   // Evaluates a burst: decisions[i] receives views[i]'s verdict, with
   // per-packet verdicts, flow-table updates, stats, and procedure-chain
   // semantics bit-identical to calling Evaluate in a loop (the differential
-  // test enforces it). The win is amortization: descriptors are marshalled
-  // into per-shard VM slot memory up front, each touched shard pins the
-  // generation once, and each shard's classifier runs as one Vm::Burst —
-  // JitContext invariants written once, stats flushed once. Requires
-  // decisions.size() >= views.size().
+  // test enforces it) — both go through the same chunk path. The win is
+  // amortization: each touched shard pins the generation once, and each
+  // shard's classifier runs as one Vm::Burst — JitContext invariants written
+  // once, stats flushed once. Requires decisions.size() >= views.size().
   void EvaluateBatch(std::span<const net::PacketView> views, net::FilterDirection dir,
                      std::span<net::FilterDecision> decisions);
 
@@ -277,14 +267,17 @@ class PacketFilter : public obj::Object {
   };
   using ProcChain = std::vector<std::unique_ptr<ProcInstance>>;
 
-  sfi::ExecMode mode() const { return LiveGen()->shards[0]->vm.mode(); }
-  size_t rule_count() const { return LiveGen()->rule_count; }
-  CompileBackend backend() const { return LiveGen()->backend; }
+  // Control-plane reads of the installed generation. Each takes reload_mu_,
+  // so a telemetry snapshot racing Load/LoadCertified never reads a
+  // generation a reload is freeing.
+  sfi::ExecMode mode() const;
+  size_t rule_count() const;
+  CompileBackend backend() const;
   // The SFI execution backend actually serving the classifier (kJit or the
   // threaded fallback — never kAuto). Exposed so callers can assert the
   // backend they think they are measuring is the one running; also slot 14
   // of StatsSlot, with vm_stats().jit_runs at slot 15.
-  sfi::VmBackend exec_backend() const { return LiveGen()->shards[0]->vm.backend(); }
+  sfi::VmBackend exec_backend() const;
   uint32_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
   const std::string& name() const { return config_.name; }
   // Stats are per shard and merged on read (the sharded counterpart of the
@@ -295,6 +288,8 @@ class PacketFilter : public obj::Object {
   // Shard 0's VM bound to the installed program (diagnostics and
   // fault-injection tests; Evaluate owns its descriptor memory between
   // packets). Single-shard filters — the default — have exactly one.
+  // This reference, and those from verified_program() and chains(), belong
+  // to the installed generation: they do not survive a concurrent reload.
   sfi::Vm& vm() { return LiveGen()->shards[0]->vm; }
   const sfi::VerifiedProgram& verified_program() const { return *LiveGen()->program; }
   // Shard 0's flow-table partition (the whole table when shards == 1), or a
@@ -349,11 +344,15 @@ class PacketFilter : public obj::Object {
 
   // Per-shard execution state bound to one installed generation: a
   // classifier VM (own JitContext, sharing the generation's verified program
-  // and its one compiled JitProgram) plus the shard's procedure-chain
-  // instances with their persistent per-shard VM state.
+  // and its one compiled JitProgram), its burst while a chunk has one open,
+  // plus the shard's procedure-chain instances with their persistent
+  // per-shard VM state.
   struct ShardExec {
     ShardExec(const sfi::VerifiedProgram* p, sfi::ExecMode mode) : vm(p, mode) {}
     sfi::Vm vm;
+    // Opened by the first classification of a chunk on this shard, closed
+    // when the chunk ends; empty in between.
+    std::optional<sfi::Vm::Burst> burst;
     std::vector<ProcChain> chains;  // chains[i] backs chain id i+1
   };
 
@@ -394,12 +393,21 @@ class PacketFilter : public obj::Object {
     uint64_t rng_state;  // xorshift64* state behind RandomHelper
     // 1-in-32 sampling state for classifier-path latency/tracing. The
     // flow-hit fast path is deliberately untouched: its telemetry is all
-    // aliases. Batch evaluation never samples.
+    // aliases.
     uint64_t telemetry_sample = 0;
     bool trace_sample_active = false;
     // EBR announce slot: the rule-set epoch pinned by the burst in flight on
     // this shard, or kShardIdle at a quiescent point.
     std::atomic<uint64_t> pinned{kShardIdle};
+  };
+
+  // The chunk in flight: its pinned generation, the shards whose classifier
+  // burst it has opened, and — stateless single-shard chunks only — the
+  // [result, fault] pairs a CallMany pre-pass already computed per slot.
+  struct Chunk {
+    LoadedProgram& gen;
+    uint64_t open_bursts = 0;
+    const uint64_t* verdicts = nullptr;
   };
 
   explicit PacketFilter(FilterConfig config);
@@ -425,28 +433,35 @@ class PacketFilter : public obj::Object {
   // Sampled classifier-path latency: ends the "filter.classify" span and
   // records the ticks into the per-verdict histogram.
   void RecordClassifyLatency(net::FilterVerdict verdict, uint64_t ticks);
-  // Single-packet classifier run on `shard`'s VM of `gen` (descriptor at
-  // guest address 0), failing closed on marshal or VM faults.
-  uint64_t Classify(Shard& shard, LoadedProgram& gen, const net::PacketView& view);
+  // The one classifier entry — first packet of a flow, stale-epoch reverse
+  // re-decide, single and burst entry alike: marshals `view` into `slot`,
+  // opens `shard`'s burst on first use and runs the classifier on the slot.
+  // A slot that does not fit the VM's memory (descriptor fault) or a VM
+  // fault fails closed (drop). Reads the pre-pass verdict instead when the
+  // chunk has one.
+  [[gnu::always_inline]] inline uint64_t RunClassifier(Shard& shard, Chunk& chunk, size_t slot,
+                                                      const net::PacketView& view);
   void CountVerdict(Shard& shard, const net::FilterDecision& decision, net::FilterDirection dir);
   // Runs `decision`'s procedure chain (if any) over `view`, applying block /
   // event / TTL results to the decision in place.
   void RunChain(Shard& shard, LoadedProgram& gen, net::FilterDecision* decision,
                 const net::PacketView& view, net::FilterDirection dir);
-  // The shared evaluation engine: flow fast path, stale-epoch re-decide,
-  // chain dispatch, verdict counting, flow establishment. `classify(view,
-  // synthetic)` runs the classifier — the single path runs the shard VM
-  // directly, the batch path calls into its per-shard burst (re-marshalling
-  // slot contents when `synthetic`). kSampled gates the 1-in-32 classifier
-  // trace sampling (single-packet path only), which FilterStats never sees —
-  // so batch and single stats stay bit-identical.
-  template <bool kSampled, typename ClassifyFn>
-  net::FilterDecision EvaluateOn(Shard& shard, LoadedProgram& gen, const net::PacketView& view,
-                                 net::FilterDirection dir, ClassifyFn&& classify);
+  // The evaluation engine for packet `slot` of the chunk: flow fast path,
+  // stale-epoch re-decide, chain dispatch, verdict counting, flow
+  // establishment, and the 1-in-32 classifier trace sampling (which
+  // FilterStats never sees).
+  [[gnu::always_inline]] inline net::FilterDecision EvaluateOn(Shard& shard, Chunk& chunk,
+                                                               size_t slot,
+                                                               const net::PacketView& view,
+                                                               net::FilterDirection dir);
   // One chunk of at most kMaxFilterBatch packets: steer, pin touched shards,
-  // pre-marshal descriptors, evaluate in order through per-shard bursts.
-  void EvaluateChunk(std::span<const net::PacketView> views, net::FilterDirection dir,
-                     net::FilterDecision* out);
+  // evaluate in order, close the bursts, unpin. These three are forced
+  // inline (their only callers are in filter.cc): Evaluate then compiles to
+  // a chunk of one with the loops folded away, and the per-packet engine
+  // carries no call overhead — the flow-hit smoke gate holds them to it.
+  [[gnu::always_inline]] inline void EvaluateChunk(std::span<const net::PacketView> views,
+                                                   net::FilterDirection dir,
+                                                   net::FilterDecision* out);
 
   // EBR reader protocol: announce the current epoch on the shard, THEN load
   // the live generation (AnnounceShard before LoadLivePinned, both seq_cst
@@ -463,6 +478,8 @@ class PacketFilter : public obj::Object {
   void ReclaimRetiredLocked();
   LoadedProgram* LiveGen() const { return live_.load(std::memory_order_acquire); }
   FilterStats MergedStats() const;
+  // vm_stats() for a caller that holds reload_mu_.
+  sfi::VmStats VmStatsLocked() const;
 
   // Host helpers bound on every procedure VM (ctx = the owning Shard, so
   // each shard's rndblock stream and rate-limiter clocks are independent and
@@ -475,7 +492,7 @@ class PacketFilter : public obj::Object {
   std::atomic<uint32_t> epoch_{0};
   std::atomic<LoadedProgram*> live_{nullptr};
   std::atomic<bool> reclaim_pending_{false};
-  std::mutex reload_mu_;
+  mutable std::mutex reload_mu_;
   std::vector<std::unique_ptr<LoadedProgram>> generations_;  // guarded by reload_mu_
   // Registry aliases onto the members above — declared last so they
   // unregister before their sources are destroyed.

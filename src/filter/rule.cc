@@ -42,21 +42,13 @@ bool ParseU64(std::string_view token, uint64_t* out) {
   return ec == std::errc{} && ptr == token.data() + token.size();
 }
 
-// `legacy_count`: the PR-5-era `count` verdict, accepted with deprecation
-// semantics — it desugars to pass plus the built-in count procedure.
-bool ParseVerdict(std::string_view token, FilterVerdict* out, bool* legacy_count) {
-  *legacy_count = false;
+bool ParseVerdict(std::string_view token, FilterVerdict* out) {
   if (token == "pass") {
     *out = FilterVerdict::kPass;
   } else if (token == "drop" || token == "block") {
     *out = FilterVerdict::kDrop;
   } else if (token == "reject") {
     *out = FilterVerdict::kReject;
-  } else if (token == "count") {
-    // Deprecated: counting is a rule procedure now. Old rule text loads as
-    // `pass ... proc count`.
-    *out = FilterVerdict::kPass;
-    *legacy_count = true;
   } else {
     return false;
   }
@@ -228,18 +220,15 @@ Result<RuleSet> ParseRules(std::string_view text) {
     }
 
     FilterVerdict verdict;
-    bool legacy_count;
     if (head == "default") {
       std::string_view v = NextToken(line);
-      if (!ParseVerdict(v, &verdict, &legacy_count)) {
+      if (!ParseVerdict(v, &verdict)) {
         return Status(ErrorCode::kInvalidArgument, "default needs a verdict");
       }
-      // `default count` desugars to pass: the default carries no rule to
-      // attach the count procedure to, so only the pass half survives.
       set.default_verdict = verdict;
       continue;
     }
-    if (!ParseVerdict(head, &verdict, &legacy_count)) {
+    if (!ParseVerdict(head, &verdict)) {
       return Status(ErrorCode::kInvalidArgument, "rule must start with a verdict");
     }
 
@@ -271,11 +260,6 @@ Result<RuleSet> ParseRules(std::string_view text) {
       } else {
         return Status(ErrorCode::kInvalidArgument, "unknown rule keyword");
       }
-    }
-    if (legacy_count) {
-      // The deprecated count verdict becomes a trailing count procedure (the
-      // attached procedures, if any, keep their written order).
-      rule.procs.push_back(RuleProcSpec{"count", {}});
     }
     set.rules.push_back(std::move(rule));
   }

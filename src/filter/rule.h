@@ -16,8 +16,6 @@
 //     reject payload 0=0x7F payload 1=0x45/0xF0
 //     drop sport 1000-2000
 //     default drop
-// Deprecated: a leading `count` verdict (PR-5-era rule text) still parses,
-// as sugar for `pass ... proc count`.
 #ifndef PARAMECIUM_SRC_FILTER_RULE_H_
 #define PARAMECIUM_SRC_FILTER_RULE_H_
 

@@ -15,25 +15,10 @@ ProtocolStack::ProtocolStack(StackConfig config, FrameSender sender)
     std::snprintf(host, sizeof(host), "%u.%u.%u.%u", (config_.ip >> 24) & 0xFF,
                   (config_.ip >> 16) & 0xFF, (config_.ip >> 8) & 0xFF, config_.ip & 0xFF);
     const std::string prefix = std::string("net.stack.") + host + ".";
-    const struct {
-      const char* suffix;
-      const uint64_t* source;
-    } slots[] = {
-        {"frames_out", &stats_.frames_out},
-        {"frames_in", &stats_.frames_in},
-        {"datagrams_out", &stats_.datagrams_out},
-        {"datagrams_in", &stats_.datagrams_in},
-        {"drops_bad_frame", &stats_.drops_bad_frame},
-        {"drops_not_for_us", &stats_.drops_not_for_us},
-        {"drops_no_socket", &stats_.drops_no_socket},
-        {"drops_filtered", &stats_.drops_filtered},
-        {"filter_pass", &stats_.filter_pass},
-        {"filter_drop", &stats_.filter_drop},
-        {"filter_reject", &stats_.filter_reject},
-        {"filter_ttl_rewrites", &stats_.filter_ttl_rewrites},
-    };
-    for (const auto& slot : slots) {
-      metrics_.Counter(prefix + slot.suffix, slot.source);
+    for (const StackStatsSlot& slot : kStackStatsSlots) {
+      if (slot.field != nullptr) {
+        metrics_.Counter(prefix + std::string(slot.name), &(stats_.*slot.field));
+      }
     }
   }
 }

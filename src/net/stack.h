@@ -10,6 +10,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/status.h"
@@ -52,6 +53,32 @@ struct StackStats {
   uint64_t filter_drop = 0;
   uint64_t filter_reject = 0;
   uint64_t filter_ttl_rewrites = 0;  // egress TTL overrides applied (normalize proc)
+};
+
+// One numbered stats slot: its name (also its `net.stack.<host>.<name>`
+// registry metric) and the StackStats counter it reads. This table, in
+// slot order, is the single source of truth for StackType slot 3
+// (`stats(index)`), the registry aliases ProtocolStack registers, and the
+// slot-map test. Slot 11 is reserved (the retired per-stack count-verdict
+// tally): no name, no field, always reads 0.
+struct StackStatsSlot {
+  std::string_view name;
+  uint64_t StackStats::*field;
+};
+inline constexpr StackStatsSlot kStackStatsSlots[] = {
+    {"frames_out", &StackStats::frames_out},
+    {"frames_in", &StackStats::frames_in},
+    {"datagrams_out", &StackStats::datagrams_out},
+    {"datagrams_in", &StackStats::datagrams_in},
+    {"drops_bad_frame", &StackStats::drops_bad_frame},
+    {"drops_not_for_us", &StackStats::drops_not_for_us},
+    {"drops_no_socket", &StackStats::drops_no_socket},
+    {"drops_filtered", &StackStats::drops_filtered},
+    {"filter_pass", &StackStats::filter_pass},
+    {"filter_drop", &StackStats::filter_drop},
+    {"filter_reject", &StackStats::filter_reject},
+    {"", nullptr},  // 11: reserved
+    {"filter_ttl_rewrites", &StackStats::filter_ttl_rewrites},
 };
 
 class ProtocolStack {

@@ -424,8 +424,7 @@ Status WalkBlock(const std::vector<DecodedInsn>& code, const std::vector<uint8_t
           }
           return OkStatus();
         }
-        // Elided opcodes never appear here: analysis runs on the pre-elision
-        // stream. Anything else is a verifier invariant violation.
+        // Anything else is a verifier invariant violation.
         return Status(ErrorCode::kInternal, "analysis: unexpected decoded opcode");
       }
     }

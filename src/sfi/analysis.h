@@ -21,9 +21,9 @@
 //
 // What the results are used for (verifier.cc applies them):
 //  * accesses whose address interval provably fits the declared memory size
-//    are rewritten to the check-free elided opcodes (verified_program.h),
-//    with `elide_floor` recording the assumption the run-time re-checks once
-//    per run;
+//    get the kInsnProvenInBounds flag (verified_program.h), which lets both
+//    backends skip their range test, with `elide_floor` recording the
+//    assumption the run-time re-checks once per run;
 //  * a REACHABLE access that provably faults on every execution — or a
 //    divide whose divisor is provably zero — rejects the program at verify
 //    time with the same Status code the run-time fault would have produced;
@@ -123,7 +123,7 @@ bool JoinInto(AbsState& dst, const AbsState& src, bool widen);
 // Everything the pass proved about one decoded stream. Vectors are indexed
 // by decoded slot and sized to the stream.
 struct ProgramAnalysis {
-  std::vector<uint8_t> elide;       // access provably in-bounds: use elided op
+  std::vector<uint8_t> elide;       // access provably in-bounds: flag it
   std::vector<uint8_t> drop_check;  // kCheckStack implied by every predecessor
   std::vector<uint8_t> reachable;   // some entry point can reach this slot
   uint64_t elide_floor = 0;         // max addr+width among elided accesses

@@ -422,6 +422,21 @@ void BoundsCheck(Emitter& e, size_t width, size_t fault_stub) {
   e.JccTo(kCcB, fault_stub);
 }
 
+// Sandboxed guard for one access: a BoundsCheck, unless the verifier's static
+// analyzer proved the access in bounds (kInsnProvenInBounds) for every memory
+// window >= program.elide_floor — the entry stub rejects smaller windows
+// before running. A proven site is still charged: it bumps ONLY
+// ctx->static_proofs (one counter RMW, same cost as the checked site's
+// bounds_checks bump), and the host folds static_proofs into bounds_checks at
+// flush time, so the coverage count is bit-identical with analyze=false.
+void AccessGuard(Emitter& e, const DecodedInsn& insn, size_t width, size_t fault_stub) {
+  if ((insn.flags & kInsnProvenInBounds) != 0) {
+    e.IncMem(kRbx, kOffStaticProofs);
+  } else {
+    BoundsCheck(e, width, fault_stub);
+  }
+}
+
 struct Fixup {
   size_t at;        // buffer offset of a rel32 to patch
   uint32_t target;  // decoded-stream index it must reach
@@ -483,60 +498,14 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
     // Fused superinstructions and synthetics first (they sit above kOpCount).
     if (op >= kOpFusedPushLoad8 && op <= kOpFusedPushLoad64) {
       // push imm; loadN — meters twice (fuel faults can land between the
-      // halves), then one bounds check against the immediate address.
+      // halves), then one guard on the immediate address.
       const size_t width = size_t{1} << (op - kOpFusedPushLoad8);
       Meter(e, sandboxed, stubs);
       Meter(e, sandboxed, stubs);
       e.MovRegImm(kRax, insn.imm);
       if (sandboxed) {
-        BoundsCheck(e, width, fault_load);
+        AccessGuard(e, insn, width, fault_load);
       }
-      e.LoadWidth(kRax, kR13, kRax, width);
-      StoreSlot(e, kRax, 0);
-      e.AddRegImm8(kR12, 1);
-      continue;
-    }
-    // Elided accesses: the verifier's static analyzer proved these in-bounds
-    // for every memory window >= program.elide_floor (the entry stub rejects
-    // smaller windows before running), so sandboxed code skips the range
-    // test. The access is still charged: each elided site bumps ONLY
-    // ctx->static_proofs — one counter RMW, same cost as the checked site's
-    // bounds_checks bump — and the host folds static_proofs into
-    // bounds_checks at flush time, so the coverage count is bit-identical
-    // with analyze=false. Metering is untouched: fuel boundaries cannot
-    // move. Trusted code is identical to the unelided trusted template.
-    if (op >= kOpLoad8Elided && op <= kOpLoad64Elided) {
-      const size_t width = size_t{1} << (op - kOpLoad8Elided);
-      Meter(e, sandboxed, stubs);
-      if (sandboxed) {
-        e.IncMem(kRbx, kOffStaticProofs);
-      }
-      LoadSlot(e, kRax, -1);  // addr; top is replaced in place
-      e.LoadWidth(kRax, kR13, kRax, width);
-      StoreSlot(e, kRax, -1);
-      continue;
-    }
-    if (op >= kOpStore8Elided && op <= kOpStore64Elided) {
-      const size_t width = size_t{1} << (op - kOpStore8Elided);
-      Meter(e, sandboxed, stubs);
-      if (sandboxed) {
-        e.IncMem(kRbx, kOffStaticProofs);
-      }
-      e.SubRegImm8(kR12, 2);
-      LoadSlot(e, kRdx, 1);  // stored value (old top)
-      LoadSlot(e, kRax, 0);  // addr
-      e.StoreWidth(kR13, kRax, kRdx, width);
-      continue;
-    }
-    if (op >= kOpFusedPushLoad8Elided && op <= kOpFusedPushLoad64Elided) {
-      // push imm; loadN with the check discharged — still meters twice.
-      const size_t width = size_t{1} << (op - kOpFusedPushLoad8Elided);
-      Meter(e, sandboxed, stubs);
-      Meter(e, sandboxed, stubs);
-      if (sandboxed) {
-        e.IncMem(kRbx, kOffStaticProofs);
-      }
-      e.MovRegImm(kRax, insn.imm);
       e.LoadWidth(kRax, kR13, kRax, width);
       StoreSlot(e, kRax, 0);
       e.AddRegImm8(kR12, 1);
@@ -704,7 +673,7 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
         Meter(e, sandboxed, stubs);
         LoadSlot(e, kRax, -1);  // addr; top is replaced in place
         if (sandboxed) {
-          BoundsCheck(e, width, fault_load);
+          AccessGuard(e, insn, width, fault_load);
         }
         e.LoadWidth(kRax, kR13, kRax, width);
         StoreSlot(e, kRax, -1);
@@ -720,7 +689,7 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
         LoadSlot(e, kRdx, 1);  // stored value (old top)
         LoadSlot(e, kRax, 0);  // addr
         if (sandboxed) {
-          BoundsCheck(e, width, fault_store);
+          AccessGuard(e, insn, width, fault_store);
         }
         e.StoreWidth(kR13, kRax, kRdx, width);
         break;

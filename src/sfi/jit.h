@@ -64,7 +64,7 @@ struct JitContext {
   uint64_t burst_count;     // slots to evaluate
   uint64_t burst_fuel;      // per-slot fuel budget (sandboxed runs re-arm it)
   uint64_t* burst_out;      // interleaved [result, fault] pairs, 2 per slot
-  // Statically discharged subset of bounds_checks (elided opcodes),
+  // Statically discharged subset of bounds_checks (kInsnProvenInBounds),
   // incremented in place by sandboxed generated code. Appended here —
   // layout is ABI, see above.
   uint64_t static_proofs;

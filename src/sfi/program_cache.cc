@@ -56,8 +56,8 @@ std::string VerifiedProgramCache::KeyOf(const Program& program, VerifyOptions op
   }
   append_u64(program.memory_bytes);
   // Options shape the decoded artifact: a fused and an unfused build of the
-  // same bytes must occupy distinct slots, and an analyzed stream (elided
-  // opcodes, dropped stack checks) must never be handed to a caller that
+  // same bytes must occupy distinct slots, and an analyzed stream (proof
+  // flags, dropped stack checks) must never be handed to a caller that
   // asked for the plain one. The static_assert below is the tripwire for
   // new VerifyOptions fields: growing the struct without extending this key
   // would silently alias distinct artifacts.

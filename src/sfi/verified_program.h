@@ -63,57 +63,20 @@ inline constexpr uint8_t kOpFusedLtUJnz = kOpEndOfCode + 10;
 inline constexpr uint8_t kOpFusedGtUJz = kOpEndOfCode + 11;
 inline constexpr uint8_t kOpFusedGtUJnz = kOpEndOfCode + 12;
 
-// Check-free variants the static analyzer (analysis.h) substitutes when it
-// has PROVED the access in bounds for every execution reaching it, given the
-// program's declared memory size. Sandboxed dispatch of an elided op performs
-// the access with no range test but still charges `bounds_checks` (the access
-// is guarded — statically) plus `static_proofs` (how it was discharged), so
+inline constexpr size_t kDecodedOpCount = kOpFusedGtUJnz + 1;
+
+// DecodedInsn::flags bits.
+// kInsnProvenInBounds marks a load, store or fused push-load the static
+// analyzer (analysis.h) PROVED in bounds for every execution reaching it,
+// given the program's declared memory size. Sandboxed code then performs the
+// access with no range test but still charges `bounds_checks` (the access is
+// guarded — statically) plus `static_proofs` (how it was discharged), so
 // VmStats are identical whether or not the analyzer ran. The proof assumed
 // `mem_size >= VerifiedProgram::elide_floor`; both backends re-check that
-// single inequality per run and fall back to the checked variants when an
-// embedder shrank the window (Burst re-basing, a shrunk memory()).
-inline constexpr uint8_t kOpLoad8Elided = kOpFusedGtUJnz + 1;
-inline constexpr uint8_t kOpLoad16Elided = kOpFusedGtUJnz + 2;
-inline constexpr uint8_t kOpLoad32Elided = kOpFusedGtUJnz + 3;
-inline constexpr uint8_t kOpLoad64Elided = kOpFusedGtUJnz + 4;
-inline constexpr uint8_t kOpStore8Elided = kOpFusedGtUJnz + 5;
-inline constexpr uint8_t kOpStore16Elided = kOpFusedGtUJnz + 6;
-inline constexpr uint8_t kOpStore32Elided = kOpFusedGtUJnz + 7;
-inline constexpr uint8_t kOpStore64Elided = kOpFusedGtUJnz + 8;
-inline constexpr uint8_t kOpFusedPushLoad8Elided = kOpFusedGtUJnz + 9;
-inline constexpr uint8_t kOpFusedPushLoad16Elided = kOpFusedGtUJnz + 10;
-inline constexpr uint8_t kOpFusedPushLoad32Elided = kOpFusedGtUJnz + 11;
-inline constexpr uint8_t kOpFusedPushLoad64Elided = kOpFusedGtUJnz + 12;
-inline constexpr size_t kDecodedOpCount = kOpFusedPushLoad64Elided + 1;
-
-// Elided <-> checked opcode mapping. The operand layout of each elided op is
-// identical to its checked original, so a backend that cannot honour the
-// elision this run (mem_size below the floor) dispatches the checked handler
-// on the same DecodedInsn.
-constexpr uint8_t ElidedOpOf(uint8_t op) {
-  if (op >= static_cast<uint8_t>(Op::kLoad8) && op <= static_cast<uint8_t>(Op::kLoad64)) {
-    return static_cast<uint8_t>(kOpLoad8Elided + (op - static_cast<uint8_t>(Op::kLoad8)));
-  }
-  if (op >= static_cast<uint8_t>(Op::kStore8) && op <= static_cast<uint8_t>(Op::kStore64)) {
-    return static_cast<uint8_t>(kOpStore8Elided + (op - static_cast<uint8_t>(Op::kStore8)));
-  }
-  if (op >= kOpFusedPushLoad8 && op <= kOpFusedPushLoad64) {
-    return static_cast<uint8_t>(kOpFusedPushLoad8Elided + (op - kOpFusedPushLoad8));
-  }
-  return op;  // not an elidable access
-}
-constexpr uint8_t UnelidedOpOf(uint8_t op) {
-  if (op >= kOpLoad8Elided && op <= kOpLoad64Elided) {
-    return static_cast<uint8_t>(static_cast<uint8_t>(Op::kLoad8) + (op - kOpLoad8Elided));
-  }
-  if (op >= kOpStore8Elided && op <= kOpStore64Elided) {
-    return static_cast<uint8_t>(static_cast<uint8_t>(Op::kStore8) + (op - kOpStore8Elided));
-  }
-  if (op >= kOpFusedPushLoad8Elided && op <= kOpFusedPushLoad64Elided) {
-    return static_cast<uint8_t>(kOpFusedPushLoad8 + (op - kOpFusedPushLoad8Elided));
-  }
-  return op;
-}
+// single inequality per run and ignore the flag when an embedder shrank the
+// window (Burst re-basing, a shrunk memory()). Trusted code never checks
+// bounds, so the flag changes nothing there.
+inline constexpr uint16_t kInsnProvenInBounds = 1u << 0;
 
 // One pre-decoded instruction. 16 bytes, fixed width.
 struct DecodedInsn {
@@ -121,7 +84,7 @@ struct DecodedInsn {
   uint32_t target = 0;  // decoded-stream index for kJmp/kJz/kJnz/kCall
   uint8_t op = 0;       // Op value, or a synthetic opcode above
   uint8_t arg = 0;      // kLdArg argument index (pre-masked)
-  uint16_t unused = 0;
+  uint16_t flags = 0;   // kInsn* bits
 };
 static_assert(sizeof(DecodedInsn) == 16, "decoded instructions are 16-byte fixed width");
 
@@ -160,10 +123,10 @@ struct VerifiedProgram {
   bool analyzed = false;  // whether the static-analysis pass ran (VerifyOptions)
 
   // Minimum usable mem_size the analyzer's in-bounds proofs assumed: the
-  // largest `addr + width` among elided accesses (0 when nothing was elided).
+  // largest `addr + width` among proven accesses (0 when nothing was proven).
   // A run whose sandboxed window is smaller — a shrunk memory(), a Burst
-  // re-base deep into the arena — dispatches the checked variants instead;
-  // behaviour is identical either way, only `static_proofs` stops counting.
+  // re-base deep into the arena — checks every access instead; behaviour is
+  // identical either way, only `static_proofs` stops counting.
   uint64_t elide_floor = 0;
 
   // Native code compiled lazily from `code` (jit.h), one slot per ExecMode.

@@ -261,8 +261,8 @@ Result<VerifiedProgram> Verify(Program program, VerifyOptions options) {
   }
 
   // Pass 6 (optional): abstract interpretation over the finished stream.
-  // Three rewrites come back: provably in-bounds accesses flip to their
-  // check-free elided opcodes, kCheckStack slots implied by every
+  // Three rewrites come back: provably in-bounds accesses get the
+  // kInsnProvenInBounds flag, kCheckStack slots implied by every
   // predecessor are compacted out (targets and entry points remapped), and
   // a reachable provably-faulting access or divide rejects the program here
   // instead of faulting on some future packet.
@@ -275,7 +275,7 @@ Result<VerifiedProgram> Verify(Program program, VerifyOptions options) {
     const analysis::ProgramAnalysis& facts = *analyzed;
     for (size_t i = 0; i < out.code.size(); ++i) {
       if (facts.elide[i]) {
-        out.code[i].op = ElidedOpOf(out.code[i].op);
+        out.code[i].flags |= kInsnProvenInBounds;
       }
     }
     if (facts.dropped_stack_checks > 0) {

@@ -216,10 +216,10 @@ Result<uint64_t> Vm::RunJit(size_t method, uint64_t a0, uint64_t a1, uint64_t a2
   if (fault == JitFault::kElideFloorMiss) [[unlikely]] {
     // The sandboxed entry stub found mem_size below the analyzer's
     // elide_floor before executing anything (no counters moved, nothing
-    // retired): this run cannot honour the elisions, so serve it with the
-    // checked interpreter, whose dispatch re-routes elided opcodes to their
-    // checked handlers. Metering and stats are identical; only
-    // static_proofs stops counting — and jit_runs, honestly, does not tick.
+    // retired): this run cannot honour the proofs, so serve it with the
+    // interpreter, whose per-run proof mask is then zero and checks every
+    // access. Metering and stats are identical; only static_proofs stops
+    // counting — and jit_runs, honestly, does not tick.
     return RunImpl<true>(method, a0, a1, a2, a3, 0);
   }
 
@@ -228,7 +228,7 @@ Result<uint64_t> Vm::RunJit(size_t method, uint64_t a0, uint64_t a1, uint64_t a2
   stats_.instructions += ctx.instructions;
   if (mode_ == ExecMode::kSandboxed) {
     // Same flush-time fold as CounterFlush: ctx.bounds_checks holds the
-    // dynamically tested accesses, ctx.static_proofs the elided ones; their
+    // dynamically tested accesses, ctx.static_proofs the proven ones; their
     // sum is the coverage count VmStats::bounds_checks reports.
     stats_.bounds_checks += ctx.bounds_checks + ctx.static_proofs;
     stats_.static_proofs += ctx.static_proofs;
@@ -282,9 +282,10 @@ Vm::Burst::~Burst() {
     vm_->stats_.calls += ctx.calls;
     vm_->stats_.host_calls += ctx.host_calls;
     vm_->stats_.jit_runs += jit_runs_;
-    // ctx.mem was re-based per call: clear the cache key so the next
-    // single-run path re-publishes the true base and full size.
-    vm_->jit_mem_base_ = nullptr;
+    // ctx.mem was re-based per call: restore the full window the cache key
+    // describes, so the next run or burst finds the context current.
+    ctx.mem = vm_->jit_mem_base_;
+    ctx.mem_size = vm_->jit_mem_bytes_ < 8 ? 0 : vm_->jit_mem_bytes_ - 8;
   }
   if constexpr (telemetry::kEnabled) {
     if (runs_ > 0) {
@@ -396,12 +397,12 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
 
   // One inequality per run decides whether the analyzer's in-bounds proofs
   // hold for THIS window: a shrunk memory() or a deep burst re-base can
-  // drop mem_size below what the proofs assumed, in which case elided
-  // opcodes dispatch their checked handlers instead (dual label tables /
-  // remapped switch). Trusted mode never checks bounds, so both variants
-  // are already identical there.
-  const bool elide_ok = !sandboxed || mem_size >= program_->elide_floor;
-  (void)elide_ok;
+  // drop mem_size below what the proofs assumed, in which case the mask is
+  // zero and every kInsnProvenInBounds access takes its range test. Trusted
+  // mode never checks bounds, so the flag is irrelevant there.
+  const uint16_t proof_mask =
+      mem_size >= program_->elide_floor ? kInsnProvenInBounds : uint16_t{0};
+  (void)proof_mask;
 
   uint64_t stack[kStackSlots];
   size_t sp = 0;  // next free slot
@@ -416,7 +417,7 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
   struct CounterFlush {
     uint64_t instructions = 0;
     uint64_t checks = 0;  // dynamically tested accesses only
-    uint64_t proofs = 0;  // statically discharged accesses (elided handlers)
+    uint64_t proofs = 0;  // statically discharged accesses (proven in bounds)
     uint64_t calls = 0;
     uint64_t host_calls = 0;
     VmStats* stats;
@@ -424,7 +425,7 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
     ~CounterFlush() {
       stats->instructions += instructions;
       // bounds_checks is check *coverage*: dynamic tests plus statically
-      // discharged accesses. Folding at flush time keeps elided handlers at
+      // discharged accesses. Folding at flush time keeps proven accesses at
       // one counter bump each, same as checked ones.
       stats->bounds_checks += checks + proofs;
       stats->static_proofs += proofs;
@@ -451,51 +452,33 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
   } while (0)
 
 #if PARA_SFI_THREADED
-// Two dispatch tables, differing only in the twelve elided slots: the
-// default table routes them to their check-free handlers, the fallback
-// table to the original checked handlers (same DecodedInsn layout either
-// way). Picking the table once per run — `labels` below — is how the
-// elide_floor guard costs zero per-instruction work.
-#define VM_LABELS_COMMON                                                                    \
-  &&lbl_halt, &&lbl_push, &&lbl_drop, &&lbl_dup, &&lbl_swap, &&lbl_add, &&lbl_sub,          \
-      &&lbl_mul, &&lbl_divu, &&lbl_remu, &&lbl_and_, &&lbl_or_, &&lbl_xor_, &&lbl_shl,      \
-      &&lbl_shr, &&lbl_eq, &&lbl_ne, &&lbl_ltu, &&lbl_gtu, &&lbl_not_, &&lbl_load8,         \
-      &&lbl_load16, &&lbl_load32, &&lbl_load64, &&lbl_store8, &&lbl_store16, &&lbl_store32, \
-      &&lbl_store64, &&lbl_jmp, &&lbl_jz, &&lbl_jnz, &&lbl_call, &&lbl_ret, &&lbl_ldarg,    \
-      &&lbl_retv, &&lbl_hostcall, &&lbl_check, &&lbl_end, &&lbl_pushload8, &&lbl_pushload16, \
-      &&lbl_pushload32, &&lbl_pushload64, &&lbl_eqjz, &&lbl_eqjnz, &&lbl_nejz, &&lbl_nejnz, \
-      &&lbl_ltujz, &&lbl_ltujnz, &&lbl_gtujz, &&lbl_gtujnz
   static const void* const kLabels[kDecodedOpCount] = {
-      VM_LABELS_COMMON,
-      &&lbl_load8e,  &&lbl_load16e,  &&lbl_load32e,  &&lbl_load64e,
-      &&lbl_store8e, &&lbl_store16e, &&lbl_store32e, &&lbl_store64e,
-      &&lbl_pushload8e, &&lbl_pushload16e, &&lbl_pushload32e, &&lbl_pushload64e,
+      &&lbl_halt,       &&lbl_push,       &&lbl_drop,       &&lbl_dup,        &&lbl_swap,
+      &&lbl_add,        &&lbl_sub,        &&lbl_mul,        &&lbl_divu,       &&lbl_remu,
+      &&lbl_and_,       &&lbl_or_,        &&lbl_xor_,       &&lbl_shl,        &&lbl_shr,
+      &&lbl_eq,         &&lbl_ne,         &&lbl_ltu,        &&lbl_gtu,        &&lbl_not_,
+      &&lbl_load8,      &&lbl_load16,     &&lbl_load32,     &&lbl_load64,     &&lbl_store8,
+      &&lbl_store16,    &&lbl_store32,    &&lbl_store64,    &&lbl_jmp,        &&lbl_jz,
+      &&lbl_jnz,        &&lbl_call,       &&lbl_ret,        &&lbl_ldarg,      &&lbl_retv,
+      &&lbl_hostcall,   &&lbl_check,      &&lbl_end,        &&lbl_pushload8,  &&lbl_pushload16,
+      &&lbl_pushload32, &&lbl_pushload64, &&lbl_eqjz,       &&lbl_eqjnz,      &&lbl_nejz,
+      &&lbl_nejnz,      &&lbl_ltujz,      &&lbl_ltujnz,     &&lbl_gtujz,      &&lbl_gtujnz,
   };
-  static const void* const kLabelsNoElide[kDecodedOpCount] = {
-      VM_LABELS_COMMON,
-      &&lbl_load8,  &&lbl_load16,  &&lbl_load32,  &&lbl_load64,
-      &&lbl_store8, &&lbl_store16, &&lbl_store32, &&lbl_store64,
-      &&lbl_pushload8, &&lbl_pushload16, &&lbl_pushload32, &&lbl_pushload64,
-  };
-#undef VM_LABELS_COMMON
-  const void* const* const labels = elide_ok ? kLabels : kLabelsNoElide;
 #define VM_OP(name, value) lbl_##name:
 #define VM_NEXT()                 \
   do {                            \
     insn = code + pc;             \
-    goto* labels[insn->op];       \
+    goto* kLabels[insn->op];      \
   } while (0)
 #define VM_DISPATCH_BEGIN() VM_NEXT();
 #define VM_DISPATCH_END()
 #else
 #define VM_OP(name, value) case OpIndex(value):
 #define VM_NEXT() continue
-// The switch build honours elide_floor by remapping elided opcodes back to
-// their checked originals at dispatch when the window is too small.
-#define VM_DISPATCH_BEGIN()                                       \
-  for (;;) {                                                      \
-    insn = code + pc;                                             \
-    switch (elide_ok ? insn->op : UnelidedOpOf(insn->op)) {
+#define VM_DISPATCH_BEGIN() \
+  for (;;) {                \
+    insn = code + pc;       \
+    switch (insn->op) {
 #define VM_DISPATCH_END()                                          \
   default:                                                         \
     return Status(ErrorCode::kInternal, "bad decoded opcode");     \
@@ -513,17 +496,32 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
     VM_NEXT();                       \
   }
 
+// Sandboxed access guard. An access the analyzer proved in bounds (its
+// kInsnProvenInBounds flag survives this run's proof_mask) skips the range
+// test but is still a guarded access: static_proofs records how it was
+// discharged, and the flush folds it into bounds_checks, so counters match
+// a run with analyze=false. Metering keeps its order (VM_METER's fuel fault
+// precedes either counter). `fault` is the out-of-bounds message.
+#define VM_GUARD(addr, width, fault)                                     \
+  do {                                                                   \
+    if constexpr (sandboxed) {                                           \
+      if ((insn->flags & proof_mask) != 0) {                             \
+        ++counters.proofs;                                               \
+      } else {                                                           \
+        ++counters.checks;                                               \
+        /* overflow-proof: addr + width can wrap for addr near 2^64 */   \
+        if ((addr) > mem_size || mem_size - (addr) < (width)) {          \
+          return Status(ErrorCode::kOutOfRange, (fault));                \
+        }                                                                \
+      }                                                                  \
+    }                                                                    \
+  } while (0)
+
 #define VM_LOAD(name, value, width)                                  \
   VM_OP(name, value) {                                               \
     VM_METER();                                                      \
     uint64_t addr = stack[sp - 1];                                   \
-    if constexpr (sandboxed) {                                       \
-      ++counters.checks;                                             \
-      /* overflow-proof: addr + width can wrap for addr near 2^64 */ \
-      if (addr > mem_size || mem_size - addr < (width)) {            \
-        return Status(ErrorCode::kOutOfRange, "load out of bounds"); \
-      }                                                              \
-    }                                                                \
+    VM_GUARD(addr, width, "load out of bounds");                     \
     /* trusted: raw access — certified code IS trusted with this memory */ \
     uint64_t loaded = 0;                                             \
     std::memcpy(&loaded, mem + addr, (width));                       \
@@ -544,12 +542,7 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
     VM_METER(); /* the push */                                       \
     VM_METER(); /* the load */                                       \
     uint64_t addr = insn->imm;                                       \
-    if constexpr (sandboxed) {                                       \
-      ++counters.checks;                                             \
-      if (addr > mem_size || mem_size - addr < (width)) {            \
-        return Status(ErrorCode::kOutOfRange, "load out of bounds"); \
-      }                                                              \
-    }                                                                \
+    VM_GUARD(addr, width, "load out of bounds");                     \
     uint64_t loaded = 0;                                             \
     std::memcpy(&loaded, mem + addr, (width));                       \
     stack[sp++] = loaded;                                            \
@@ -574,64 +567,10 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
     VM_METER();                                                       \
     uint64_t stored = stack[--sp];                                    \
     uint64_t addr = stack[--sp];                                      \
-    if constexpr (sandboxed) {                                        \
-      ++counters.checks;                                              \
-      /* overflow-proof: addr + width can wrap for addr near 2^64 */  \
-      if (addr > mem_size || mem_size - addr < (width)) {             \
-        return Status(ErrorCode::kOutOfRange, "store out of bounds"); \
-      }                                                               \
-    }                                                                 \
+    VM_GUARD(addr, width, "store out of bounds");                     \
     std::memcpy(mem + addr, &stored, (width));                        \
     ++pc;                                                             \
     VM_NEXT();                                                        \
-  }
-
-// Elided accesses: the verifier's analyzer PROVED addr+width <= mem_size for
-// every execution reaching this op (given mem_size >= elide_floor, which the
-// per-run table/remap selection guaranteed before dispatching here), so the
-// range test is gone. The access is still a guarded one — bounds_checks
-// charges it exactly like the checked handler would, static_proofs records
-// how it was discharged — and metering keeps the same order (fuel fault
-// before either counter moves).
-#define VM_LOAD_ELIDED(name, value, width)  \
-  VM_OP(name, value) {                      \
-    VM_METER();                             \
-    if constexpr (sandboxed) {              \
-      ++counters.proofs;                    \
-    }                                       \
-    uint64_t addr = stack[sp - 1];          \
-    uint64_t loaded = 0;                    \
-    std::memcpy(&loaded, mem + addr, (width)); \
-    stack[sp - 1] = loaded;                 \
-    ++pc;                                   \
-    VM_NEXT();                              \
-  }
-
-#define VM_STORE_ELIDED(name, value, width) \
-  VM_OP(name, value) {                      \
-    VM_METER();                             \
-    uint64_t stored = stack[--sp];          \
-    uint64_t addr = stack[--sp];            \
-    if constexpr (sandboxed) {              \
-      ++counters.proofs;                    \
-    }                                       \
-    std::memcpy(mem + addr, &stored, (width)); \
-    ++pc;                                   \
-    VM_NEXT();                              \
-  }
-
-#define VM_FUSED_PUSH_LOAD_ELIDED(name, value, width) \
-  VM_OP(name, value) {                                \
-    VM_METER(); /* the push */                        \
-    VM_METER(); /* the load */                        \
-    if constexpr (sandboxed) {                        \
-      ++counters.proofs;                              \
-    }                                                 \
-    uint64_t loaded = 0;                              \
-    std::memcpy(&loaded, mem + insn->imm, (width));   \
-    stack[sp++] = loaded;                             \
-    ++pc;                                             \
-    VM_NEXT();                                        \
   }
 
   VM_DISPATCH_BEGIN()
@@ -801,19 +740,6 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
   VM_FUSED_CMP_JUMP(gtujz, kOpFusedGtUJz, lhs <= rhs)
   VM_FUSED_CMP_JUMP(gtujnz, kOpFusedGtUJnz, lhs > rhs)
 
-  VM_LOAD_ELIDED(load8e, kOpLoad8Elided, 1)
-  VM_LOAD_ELIDED(load16e, kOpLoad16Elided, 2)
-  VM_LOAD_ELIDED(load32e, kOpLoad32Elided, 4)
-  VM_LOAD_ELIDED(load64e, kOpLoad64Elided, 8)
-  VM_STORE_ELIDED(store8e, kOpStore8Elided, 1)
-  VM_STORE_ELIDED(store16e, kOpStore16Elided, 2)
-  VM_STORE_ELIDED(store32e, kOpStore32Elided, 4)
-  VM_STORE_ELIDED(store64e, kOpStore64Elided, 8)
-  VM_FUSED_PUSH_LOAD_ELIDED(pushload8e, kOpFusedPushLoad8Elided, 1)
-  VM_FUSED_PUSH_LOAD_ELIDED(pushload16e, kOpFusedPushLoad16Elided, 2)
-  VM_FUSED_PUSH_LOAD_ELIDED(pushload32e, kOpFusedPushLoad32Elided, 4)
-  VM_FUSED_PUSH_LOAD_ELIDED(pushload64e, kOpFusedPushLoad64Elided, 8)
-
   VM_DISPATCH_END()
 
 #undef VM_METER
@@ -822,13 +748,11 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
 #undef VM_DISPATCH_BEGIN
 #undef VM_DISPATCH_END
 #undef VM_BINOP
+#undef VM_GUARD
 #undef VM_LOAD
 #undef VM_STORE
 #undef VM_FUSED_PUSH_LOAD
 #undef VM_FUSED_CMP_JUMP
-#undef VM_LOAD_ELIDED
-#undef VM_STORE_ELIDED
-#undef VM_FUSED_PUSH_LOAD_ELIDED
 }
 
 }  // namespace para::sfi

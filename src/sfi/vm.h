@@ -38,7 +38,7 @@ struct VmStats {
   uint64_t host_calls = 0;  // kHostCall helper invocations
   uint64_t jit_runs = 0;    // Run() invocations served by native code
   // Of the bounds_checks above, how many were discharged by the verifier's
-  // static analyzer (elided opcodes) rather than a run-time range test.
+  // static analyzer (kInsnProvenInBounds) rather than a run-time range test.
   // Always <= bounds_checks; 0 when the program was verified with
   // analyze=false, when the mode is kTrusted, or when the run's memory
   // window fell below VerifiedProgram::elide_floor (checked fallback).

@@ -1,12 +1,9 @@
-// Intrusive list, ring buffer, and slab allocator tests.
+// Intrusive list tests.
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "src/base/intrusive_list.h"
-#include "src/base/ring_buffer.h"
-#include "src/base/slab.h"
 
 namespace para {
 namespace {
@@ -98,99 +95,6 @@ TEST(IntrusiveListTest, Iteration) {
   }
   EXPECT_EQ(expected, 5);
   list.Clear();
-}
-
-TEST(RingBufferTest, PushPop) {
-  RingBuffer<int> ring(4);
-  EXPECT_TRUE(ring.empty());
-  EXPECT_TRUE(ring.Push(1));
-  EXPECT_TRUE(ring.Push(2));
-  EXPECT_EQ(ring.size(), 2u);
-  EXPECT_EQ(*ring.Pop(), 1);
-  EXPECT_EQ(*ring.Pop(), 2);
-  EXPECT_FALSE(ring.Pop().has_value());
-}
-
-TEST(RingBufferTest, FullDropsPush) {
-  RingBuffer<int> ring(4);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_TRUE(ring.Push(i));
-  }
-  EXPECT_TRUE(ring.full());
-  EXPECT_FALSE(ring.Push(99));
-  EXPECT_EQ(*ring.Pop(), 0);
-  EXPECT_TRUE(ring.Push(4));  // room again
-}
-
-TEST(RingBufferTest, WrapsAround) {
-  RingBuffer<int> ring(4);
-  for (int round = 0; round < 10; ++round) {
-    EXPECT_TRUE(ring.Push(round));
-    EXPECT_EQ(*ring.Pop(), round);
-  }
-  EXPECT_TRUE(ring.empty());
-}
-
-TEST(RingBufferTest, FrontPeeks) {
-  RingBuffer<std::string> ring(2);
-  EXPECT_EQ(ring.Front(), nullptr);
-  ring.Push("x");
-  ASSERT_NE(ring.Front(), nullptr);
-  EXPECT_EQ(*ring.Front(), "x");
-  EXPECT_EQ(ring.size(), 1u);  // peek does not consume
-}
-
-TEST(RingBufferTest, ClearEmpties) {
-  RingBuffer<int> ring(8);
-  ring.Push(1);
-  ring.Push(2);
-  ring.Clear();
-  EXPECT_TRUE(ring.empty());
-}
-
-struct Tracked {
-  explicit Tracked(int* counter) : counter_(counter) { ++*counter_; }
-  ~Tracked() { --*counter_; }
-  int* counter_;
-  char payload[24];
-};
-
-TEST(SlabTest, NewDelete) {
-  SlabAllocator<Tracked, 8> slab;
-  int live = 0;
-  Tracked* a = slab.New(&live);
-  Tracked* b = slab.New(&live);
-  EXPECT_EQ(live, 2);
-  EXPECT_EQ(slab.live(), 2u);
-  slab.Delete(a);
-  slab.Delete(b);
-  EXPECT_EQ(live, 0);
-  EXPECT_EQ(slab.live(), 0u);
-}
-
-TEST(SlabTest, ReusesFreedSlots) {
-  SlabAllocator<Tracked, 4> slab;
-  int live = 0;
-  Tracked* a = slab.New(&live);
-  slab.Delete(a);
-  Tracked* b = slab.New(&live);
-  EXPECT_EQ(a, b);  // the freed slot comes back first
-  slab.Delete(b);
-}
-
-TEST(SlabTest, GrowsBeyondOneSlab) {
-  SlabAllocator<Tracked, 4> slab;
-  int live = 0;
-  std::vector<Tracked*> items;
-  for (int i = 0; i < 33; ++i) {
-    items.push_back(slab.New(&live));
-  }
-  EXPECT_EQ(live, 33);
-  EXPECT_GE(slab.capacity(), 33u);
-  for (Tracked* item : items) {
-    slab.Delete(item);
-  }
-  EXPECT_EQ(live, 0);
 }
 
 }  // namespace

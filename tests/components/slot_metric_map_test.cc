@@ -56,8 +56,8 @@ TEST(SlotMetricMapTest, FilterSlotsMatchTableAndRegistry) {
 
   auto iface = (*filter)->GetInterface(filter::FilterType()->name());
   ASSERT_TRUE(iface.ok());
-  for (size_t slot = 0; slot < std::size(filter::kFilterStatsSlotNames); ++slot) {
-    const std::string_view slot_name = filter::kFilterStatsSlotNames[slot];
+  for (size_t slot = 0; slot < std::size(filter::kFilterStatsSlots); ++slot) {
+    const std::string_view slot_name = filter::kFilterStatsSlots[slot].name;
     ASSERT_FALSE(slot_name.empty()) << "filter slot " << slot << " has no name";
     const std::string metric = "filter.slotmap." + std::string(slot_name);
     uint64_t registry_value = 0;
@@ -96,8 +96,8 @@ TEST_F(StackSlotMapTest, StackSlotsMatchTableAndRegistry) {
   (*stack)->stack().AddNeighbor((10u << 24) | 78, net_b_->mac());
   EXPECT_EQ((*iface)->Invoke(0, (10u << 24) | 78, (uint64_t{1111} << 16) | 2222, *buf, 8), 0u);
 
-  for (size_t slot = 0; slot < std::size(kStackStatsSlotNames); ++slot) {
-    const std::string_view slot_name = kStackStatsSlotNames[slot];
+  for (size_t slot = 0; slot < std::size(net::kStackStatsSlots); ++slot) {
+    const std::string_view slot_name = net::kStackStatsSlots[slot].name;
     if (slot == 11) {
       // Reserved slot: no name, no metric, always reads 0.
       EXPECT_TRUE(slot_name.empty());

@@ -82,16 +82,6 @@ TEST(FilterEventTest, DetailWordRoundTripsEveryField) {
   }
 }
 
-TEST(FilterEventTest, DeprecatedEncodingStaysSelfConsistent) {
-  // The PR-5-era shim still round-trips through its own decoders, so
-  // out-of-tree monitors that compile against it keep working on details
-  // they encoded themselves.
-  uint64_t detail = EncodeVerdictEvent(FilterVerdict::kReject, FilterDirection::kEgress, 9);
-  EXPECT_EQ(VerdictEventVerdict(detail), FilterVerdict::kReject);
-  EXPECT_EQ(VerdictEventDirection(detail), FilterDirection::kEgress);
-  EXPECT_EQ(VerdictEventRule(detail), 9u);
-}
-
 // --- registry ----------------------------------------------------------------
 
 TEST(RuleProcRegistryTest, BuiltInsAndRegistration) {

@@ -104,7 +104,7 @@ TEST_F(FilterIntegrationTest, IngressVerdictsAndEventNotifications) {
   ASSERT_TRUE(filter.ok());
   auto rules = ParseRules(
       "pass dport 80\n"
-      "count dport 81\n"
+      "pass dport 81 proc count\n"
       "reject dport 9999\n"
       "default drop\n");
   ASSERT_TRUE(rules.ok());
@@ -262,7 +262,7 @@ TEST_F(FilterIntegrationTest, FilterChainsAreNamedDirectoryObjects) {
   auto ingress = PacketFilter::Create(ingress_config);
   auto egress = PacketFilter::Create(egress_config);
   ASSERT_TRUE(ingress.ok() && egress.ok());
-  auto rules = ParseRules("count dport 80\ndefault pass\n");
+  auto rules = ParseRules("pass dport 80 proc count\ndefault pass\n");
   ASSERT_TRUE(rules.ok());
   ASSERT_TRUE((*ingress)->Load(*rules).ok());
 

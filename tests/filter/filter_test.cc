@@ -5,12 +5,15 @@
 // an unverified program.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <iterator>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/base/random.h"
+#include "src/base/telemetry.h"
 #include "src/filter/compiler.h"
 #include "src/filter/filter.h"
 #include "src/filter/rule.h"
@@ -37,7 +40,7 @@ TEST(RuleParserTest, ParsesFullGrammar) {
   auto set = ParseRules(R"(
     ; management net may talk to the resolver
     pass from 10.0.0.0/8 to 10.1.0.2 dport 53 proto udp
-    count to any dport 8000-8080      # tap the web tier
+    pass to any dport 8000-8080 proc count  # tap the web tier
     reject payload 0=0x7F payload 3=0x45/0xF0
     drop sport 6000-7000
     default drop
@@ -57,7 +60,6 @@ TEST(RuleParserTest, ParsesFullGrammar) {
   EXPECT_EQ(r0.proto, net::kIpProtoUdpLite);
 
   const Rule& r1 = set->rules[1];
-  // Deprecated count verdict: parses as pass + an attached count procedure.
   EXPECT_EQ(r1.verdict, FilterVerdict::kPass);
   ASSERT_EQ(r1.procs.size(), 1u);
   EXPECT_EQ(r1.procs[0].name, "count");
@@ -140,8 +142,8 @@ TEST(CompilerTest, CompiledProgramVerifies) {
 
 TEST(CompilerTest, FirstMatchWinsAndDefaultApplies) {
   auto set = ParseRules(
-      "count dport 80\n"  // sugar for: pass dport 80 proc count
-      "drop dport 80\n"   // shadowed by the count rule
+      "pass dport 80 proc count\n"
+      "drop dport 80\n"  // shadowed by the count rule
       "pass dport 443\n"
       "default reject\n");
   ASSERT_TRUE(set.ok());
@@ -348,8 +350,8 @@ TEST(DecisionTreeTest, FirstMatchSemanticsSurviveBucketing) {
   // every bucket at its original priority.
   auto set = ParseRules(
       "drop dport 10\n"
-      "count proto 1\n"        // wildcard on dport: rides into every bucket
-      "pass dport 10\n"        // shadowed by rule 0 for dport 10
+      "pass proto 1 proc count\n"  // wildcard on dport: rides into every bucket
+      "pass dport 10\n"            // shadowed by rule 0 for dport 10
       "reject dport 20\n"
       "drop dport 30\n"
       "pass dport 40\n"
@@ -380,7 +382,7 @@ TEST(DecisionTreeTest, PrefixesAndRangesNowDispatch) {
   auto set = ParseRules(
       "drop sport 1000-2000\n"
       "pass from 10.0.0.0/8\n"
-      "count dport 5000-6000\n"
+      "pass dport 5000-6000 proc count\n"
       "reject from 192.168.0.0/16\n"
       "default drop\n");
   ASSERT_TRUE(set.ok());
@@ -409,7 +411,7 @@ TEST(DecisionTreeTest, FallsBackToLinearWhenNothingDiscriminates) {
   auto set = ParseRules(
       "drop payload 0=0x7F\n"
       "pass payload 1=0x45/0xF0\n"
-      "count payload 2=0x01\n"
+      "pass payload 2=0x01 proc count\n"
       "reject payload 3=0x02\n"
       "default drop\n");
   ASSERT_TRUE(set.ok());
@@ -462,7 +464,7 @@ TEST(DecisionTreeTest, LpmTrieSplitsNestedPrefixesDeeper) {
   // stride selection must not stall on the /8 (it rides as this node's
   // wildcard) and deeper nodes must consume further bits.
   auto set = ParseRules(
-      "count from 10.0.0.0/8\n"
+      "pass from 10.0.0.0/8 proc count\n"
       "drop from 10.1.0.0/16\n"
       "pass from 10.2.0.0/16\n"
       "reject from 10.2.3.0/24\n"
@@ -495,7 +497,7 @@ TEST(DecisionTreeTest, LpmTrieSplitsNestedPrefixesDeeper) {
       "drop from 10.2.4.0/24\n"
       "drop from 10.1.0.0/16\n"
       "pass from 10.2.0.0/16\n"
-      "count from 10.0.0.0/8\n"
+      "pass from 10.0.0.0/8 proc count\n"
       "default drop\n");
   ASSERT_TRUE(inverted.ok());
   auto inv_tree = CompileRules(*inverted, {CompileBackend::kDecisionTree});
@@ -558,7 +560,7 @@ TEST(DecisionTreeTest, OverlappingRangesKeepFirstMatchOrder) {
   // Nested and overlapping ranges with interleaved priorities: every
   // elementary segment must test its covering rules in original order.
   auto set = ParseRules(
-      "count dport 100-200\n"
+      "pass dport 100-200 proc count\n"
       "drop dport 150-160\n"    // shadowed by the count rule
       "pass dport 190-300\n"    // decides only 201-300
       "reject dport 250-260\n"  // shadowed by the pass rule
@@ -671,7 +673,7 @@ TEST(PacketFilterTest, EmptyFilterPassesEverything) {
 TEST(PacketFilterTest, SandboxedAndTrustedAgree) {
   auto rules = ParseRules(
       "pass from 10.0.0.0/8 dport 53\n"
-      "count dport 8080\n"
+      "pass dport 8080 proc count\n"
       "default drop\n");
   ASSERT_TRUE(rules.ok());
 
@@ -939,6 +941,22 @@ TEST(PacketFilterTest, DescriptorMarshallingFailureFailsClosed) {
   // A dropped-for-safety packet must not have established a flow either
   // (the first packet's pass did).
   EXPECT_EQ((*filter)->flows().size(), 1u);
+
+  // The burst path marshals into slots past the shrunk memory's end: every
+  // one of them must fail closed the same way, never write out of bounds.
+  std::vector<PacketView> burst(3, view);
+  for (size_t i = 0; i < burst.size(); ++i) {
+    burst[i].src_port = static_cast<net::Port>(10 + i);
+  }
+  std::vector<FilterDecision> decisions(burst.size());
+  (*filter)->EvaluateBatch(burst, FilterDirection::kIngress, decisions);
+  for (const FilterDecision& decision : decisions) {
+    EXPECT_EQ(decision.verdict, FilterVerdict::kDrop);
+    EXPECT_EQ(decision.rule, net::kDefaultRuleIndex);
+  }
+  EXPECT_EQ((*filter)->stats().descriptor_faults, 4u);
+  EXPECT_EQ((*filter)->stats().drop, 4u);
+  EXPECT_EQ((*filter)->flows().size(), 1u);
 }
 
 TEST(PacketFilterTest, ReplyTrafficSharesEstablishedFlow) {
@@ -1037,7 +1055,7 @@ TEST(PacketFilterTest, SharedProgramCacheMakesReloadsHits) {
 }
 
 TEST(PacketFilterTest, ExportsFilterInterface) {
-  auto rules = ParseRules("drop dport 23\ncount dport 80\ndefault pass\n");
+  auto rules = ParseRules("drop dport 23\npass dport 80 proc count\ndefault pass\n");
   ASSERT_TRUE(rules.ok());
   auto filter = PacketFilter::Create({});
   ASSERT_TRUE(filter.ok());
@@ -1057,6 +1075,82 @@ TEST(PacketFilterTest, ExportsFilterInterface) {
   EXPECT_EQ((*iface)->Invoke(0, 2), 1u);  // drop
   EXPECT_EQ((*iface)->Invoke(0, 4), 1u);  // count
   EXPECT_EQ((*iface)->Invoke(3), 1u);     // the count flow is established
+}
+
+// Samples recorded so far into the filter's per-verdict classify histograms.
+uint64_t ClassifySamples() {
+  uint64_t samples = 0;
+  for (const telemetry::MetricValue& mv : telemetry::Registry::Get().TakeSnapshot().metrics) {
+    if (mv.name.starts_with("filter.engine.classify_ticks.")) {
+      samples += mv.value;
+    }
+  }
+  return samples;
+}
+
+TEST(PacketFilterTest, BatchClassifierPathIsSampled) {
+  if constexpr (!telemetry::kEnabled) GTEST_SKIP() << "built with PARA_NO_TELEMETRY";
+  auto rules = ParseRules("pass dport 80\ndefault drop\n");
+  ASSERT_TRUE(rules.ok());
+  FilterConfig config;
+  config.shards = 1;  // one sampling sequence
+  auto filter = PacketFilter::Create(config);
+  ASSERT_TRUE(filter.ok());
+  ASSERT_TRUE((*filter)->Load(*rules).ok());
+
+  // 64 first packets of distinct flows: every one takes the classifier path,
+  // and the 1-in-32 sampling picks two of them, exactly as through Evaluate.
+  std::vector<PacketView> burst(kMaxFilterBatch);
+  for (size_t i = 0; i < burst.size(); ++i) {
+    burst[i] = PacketView{1, 2, static_cast<net::Port>(1000 + i), 80, net::kIpProtoUdpLite, 64, {}};
+  }
+  std::vector<FilterDecision> decisions(burst.size());
+  const uint64_t before = ClassifySamples();
+  (*filter)->EvaluateBatch(burst, FilterDirection::kIngress, decisions);
+  EXPECT_EQ(ClassifySamples() - before, 2u);
+  EXPECT_EQ((*filter)->stats().flow_hits, 0u);
+}
+
+TEST(PacketFilterTest, ControlPlaneReadsSurviveConcurrentReloads) {
+  // The accessors and telemetry aliases a snapshot runs read the installed
+  // generation; a reload with every shard idle frees the old one at once.
+  // Run them against 200 back-to-back reloads (the sanitizer legs catch a
+  // read of a freed generation).
+  auto small = ParseRules("pass dport 80\ndefault drop\n");
+  auto large = ParseRules("drop dport 23\npass dport 443\ndefault pass\n");
+  ASSERT_TRUE(small.ok() && large.ok());
+  FilterConfig config;
+  config.name = "cpreads";
+  auto filter = PacketFilter::Create(config);
+  ASSERT_TRUE(filter.ok());
+  PacketFilter& f = **filter;
+  auto iface = f.GetInterface(FilterType()->name());
+  ASSERT_TRUE(iface.ok());
+
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      (void)telemetry::Registry::Get().TakeSnapshot();
+      EXPECT_LE(f.rule_count(), 2u);  // 0 until the first reload lands
+      EXPECT_EQ(f.mode(), sfi::ExecMode::kSandboxed);
+      (void)f.backend();
+      (void)f.exec_backend();
+      (void)f.vm_stats();
+      (void)(*iface)->Invoke(0, 14);
+      (void)(*iface)->Invoke(0, 15);
+      EXPECT_LE((*iface)->Invoke(1), 2u);  // rule_count slot
+      EXPECT_EQ((*iface)->Invoke(2), 0u);  // mode slot: sandboxed
+    }
+  });
+  bool loaded = true;
+  for (int i = 0; i < 200 && loaded; ++i) {
+    loaded = f.Load(i % 2 == 0 ? *small : *large).ok();
+  }
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_TRUE(loaded);
+  EXPECT_EQ(f.rule_count(), 2u);
+  EXPECT_EQ(f.stats().reloads, 200u);
 }
 
 }  // namespace

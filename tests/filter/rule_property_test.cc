@@ -118,14 +118,15 @@ TEST(RulePropertyTest, RoundTripCoversEveryVerdictAndDefault) {
     EXPECT_EQ(with_default->default_verdict, verdict);
   }
 
-  // The deprecated count verdict still loads — as pass + a count procedure —
-  // and `default count` degrades to the pass half it can keep.
-  auto legacy = ParseRules("count dport 443\ndefault count\n");
-  ASSERT_TRUE(legacy.ok());
-  EXPECT_EQ(legacy->rules[0].verdict, FilterVerdict::kPass);
-  ASSERT_EQ(legacy->rules[0].procs.size(), 1u);
-  EXPECT_EQ(legacy->rules[0].procs[0].name, "count");
-  EXPECT_EQ(legacy->default_verdict, FilterVerdict::kPass);
+  // `count` is a procedure, not a verdict: the retired verdict spelling is
+  // rejected as a rule head and as a default (write `pass ... proc count`).
+  EXPECT_FALSE(ParseRules("count dport 443\n").ok());
+  EXPECT_FALSE(ParseRules("default count\n").ok());
+  auto spelled_out = ParseRules("pass dport 443 proc count\n");
+  ASSERT_TRUE(spelled_out.ok());
+  EXPECT_EQ(spelled_out->rules[0].verdict, FilterVerdict::kPass);
+  ASSERT_EQ(spelled_out->rules[0].procs.size(), 1u);
+  EXPECT_EQ(spelled_out->rules[0].procs[0].name, "count");
 }
 
 TEST(RulePropertyTest, RejectsMalformedProcClauses) {

@@ -157,7 +157,7 @@ TEST(ProgramCacheTest, KeyCoversEveryVerifyOptionsField) {
 }
 
 TEST(ProgramCacheTest, AnalyzedAndPlainArtifactsOccupyDistinctSlots) {
-  // analyze=true rewrites the decoded stream (elided opcodes, dropped stack
+  // analyze=true rewrites the decoded stream (proof flags, dropped stack
   // checks); handing the analyzed artifact to an analyze=false caller would
   // violate its contract exactly like the fusion aliasing above.
   VerifiedProgramCache cache(8);
