@@ -345,9 +345,10 @@ void BM_FilterProcChainTrusted(benchmark::State& state) {
 // The same 256-rule certified-trusted prefix/range set, evaluated one packet
 // at a time vs in EvaluateBatch bursts. Flow tracking is off so every packet
 // runs the classifier — the path batching amortizes (descriptor marshal up
-// front, one Vm::Burst per chunk: JitContext setup and the native prologue
-// paid once per burst instead of once per packet). Evaluate is a chunk of
-// one, so BM_FilterBatchSingle pays the per-chunk entry once per packet.
+// front, one CallMany trampoline entry per chunk: the host round trip and
+// the native prologue paid once per chunk instead of once per packet).
+// Evaluate is a chunk of one, so BM_FilterBatchSingle pays the per-chunk
+// entry once per packet.
 // Compare per-item times: the acceptance bar is BM_FilterBatch/32 ≥1.5×
 // faster per packet than BM_FilterBatchSingle.
 

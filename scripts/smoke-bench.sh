@@ -156,8 +156,8 @@ if [[ -f "${FILTER_BASELINE}" ]] && command -v python3 >/dev/null 2>&1 &&
   else
     echo "smoke-bench: no-chain kPass gate skipped (row missing from baseline)"
   fi
-  # 1.25x: the batched-verdict path (one Vm::Burst per chunk, descriptors
-  # marshalled up front). Regressing this undoes the amortized-JIT-entry win
+  # 1.25x: the batched-verdict path (descriptors marshalled up front, one
+  # CallMany trampoline entry per chunk). Regressing this undoes the amortized-JIT-entry win
   # the sharded data plane exists for; the row is far less layout-sensitive
   # than the single-packet trusted loop, so the tighter limit holds.
   if grep -q "BM_FilterBatch/32" "${FILTER_BASELINE}"; then

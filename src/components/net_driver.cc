@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <string>
 
 #include "src/base/log.h"
 
@@ -13,15 +15,10 @@ using nucleus::VAddr;
 NetDriver::NetDriver(nucleus::VirtualMemoryService* vmem, nucleus::EventService* events,
                      hw::NetworkDevice* device, nucleus::Context* home)
     : vmem_(vmem), events_(events), device_(device), home_(home) {
-  // Same order as kNetDriverStatsSlotNames / the Stats() switch. The device
-  // counters are behind accessors, so indices 0–2 are function-backed.
-  metrics_.Fn("components.net_driver.frames_sent", [device] { return device->frames_sent(); },
-              telemetry::MetricKind::kCounter);
-  metrics_.Fn("components.net_driver.frames_received",
-              [device] { return device->frames_received(); }, telemetry::MetricKind::kCounter);
-  metrics_.Fn("components.net_driver.frames_dropped",
-              [device] { return device->frames_dropped(); }, telemetry::MetricKind::kCounter);
-  metrics_.Counter("components.net_driver.frames_filtered", &frames_filtered_);
+  for (const NetDriverStatsSlot& slot : kNetDriverStatsSlots) {
+    metrics_.Fn("components.net_driver." + std::string(slot.name),
+                [this, read = slot.read] { return read(*this); }, telemetry::MetricKind::kCounter);
+  }
   metrics_.Counter("components.net_driver.invocations", &invocations_);
 }
 
@@ -186,13 +183,7 @@ uint64_t NetDriver::SetRxIrq(uint64_t enable, uint64_t, uint64_t, uint64_t) {
 }
 
 uint64_t NetDriver::Stats(uint64_t index, uint64_t, uint64_t, uint64_t) {
-  switch (index) {
-    case 0: return device_->frames_sent();
-    case 1: return device_->frames_received();
-    case 2: return device_->frames_dropped();
-    case 3: return frames_filtered_;
-    default: return 0;
-  }
+  return index < std::size(kNetDriverStatsSlots) ? kNetDriverStatsSlots[index].read(*this) : 0;
 }
 
 uint64_t NetDriver::Invocations(uint64_t, uint64_t, uint64_t, uint64_t) {

@@ -21,17 +21,6 @@
 
 namespace para::components {
 
-// Names for NetDriverType's stats(index) slot, in index order — the single
-// source of truth tying the numbered slots to the `components.net_driver.*`
-// registry metrics and to the slot-map test. Indices 0–2 read the device's
-// own counters; 3 is the driver-level frame filter tally.
-inline constexpr std::string_view kNetDriverStatsSlotNames[] = {
-    "frames_sent",
-    "frames_received",
-    "frames_dropped",
-    "frames_filtered",
-};
-
 class NetDriver : public obj::Object {
  public:
   // Maps the device into `home` and hooks the RX interrupt. The driver
@@ -44,6 +33,7 @@ class NetDriver : public obj::Object {
   ~NetDriver() override;
 
   nucleus::Context* home() const { return home_; }
+  const hw::NetworkDevice& device() const { return *device_; }
   uint64_t rx_frames_buffered() const { return rx_frames_.size(); }
   uint64_t frames_filtered() const { return frames_filtered_; }
 
@@ -83,6 +73,21 @@ class NetDriver : public obj::Object {
   // Aliases over the device's counters and this driver's tallies — declared
   // last so they unregister before the fields/device pointer die.
   telemetry::ScopedMetricGroup metrics_;
+};
+
+// NetDriverType's stats(index) slots, in index order — the single source of
+// truth that the numbered slots, the `components.net_driver.<name>` registry
+// metrics and the slot-map test all derive from. The device's counters sit
+// behind its accessors, so each slot is a reader rather than a field.
+struct NetDriverStatsSlot {
+  std::string_view name;
+  uint64_t (*read)(const NetDriver& driver);
+};
+inline constexpr NetDriverStatsSlot kNetDriverStatsSlots[] = {
+    {"frames_sent", [](const NetDriver& d) { return d.device().frames_sent(); }},          // 0
+    {"frames_received", [](const NetDriver& d) { return d.device().frames_received(); }},  // 1
+    {"frames_dropped", [](const NetDriver& d) { return d.device().frames_dropped(); }},    // 2
+    {"frames_filtered", [](const NetDriver& d) { return d.frames_filtered(); }},           // 3
 };
 
 }  // namespace para::components

@@ -57,14 +57,6 @@ inline bool WriteSlot(sfi::Vm& vm, size_t slot, const net::PacketView& view,
       view, memory.subspan(off, std::min(kFilterBatchSlot, memory.size() - off)), payload_bytes);
 }
 
-// Converts to a freshly opened classifier burst, so std::optional::emplace
-// constructs the Burst in place: moving a temporary in costs a measurable
-// store-to-load round trip on every chunk.
-struct OpenBurst {
-  sfi::Vm& vm;
-  operator sfi::Vm::Burst() const { return vm.BeginBurst(0); }
-};
-
 }  // namespace
 
 const obj::TypeInfo* FilterType() {
@@ -99,15 +91,12 @@ uint64_t PacketFilter::NowHelper(void* ctx, uint64_t) {
   if (self->config_.clock != nullptr) {
     return self->config_.clock->now();
   }
-  // No clock configured: fall back to the evaluation counter — summed across
-  // shards so the value is still monotonic under sharding — which at least
-  // is deterministic (a ratelimit procedure then only ever grants its
-  // initial burst; real rates need a real clock).
-  uint64_t evaluated = 0;
-  for (const std::unique_ptr<Shard>& s : self->shards_) {
-    evaluated += s->stats.evaluated;
-  }
-  return evaluated;
+  // No clock configured: fall back to the calling shard's own evaluation
+  // counter — never another shard's, which that shard's worker may be
+  // writing. Procedure instances are per shard, so each still sees a
+  // monotonic, deterministic clock (a ratelimit procedure then only ever
+  // grants its initial burst; real rates need a real clock).
+  return shard->stats.evaluated;
 }
 
 uint64_t PacketFilter::RandomHelper(void* ctx, uint64_t modulus) {
@@ -434,11 +423,7 @@ uint64_t PacketFilter::RunClassifier(Shard& shard, Chunk& chunk, size_t slot,
   if (traced) [[unlikely]] {
     PARA_TRACE_INSTANT("filter.descriptor_marshal", gen.payload_bytes_needed);
   }
-  if (((chunk.open_bursts >> shard.index) & 1) == 0) {
-    exec.burst.emplace(OpenBurst{exec.vm});
-    chunk.open_bursts |= uint64_t{1} << shard.index;
-  }
-  Result<uint64_t> run = exec.burst->Call(slot * kFilterBatchSlot);
+  Result<uint64_t> run = exec.vm.BeginBurst(0).Call(slot * kFilterBatchSlot);
   if (traced) [[unlikely]] {
     PARA_TRACE_INSTANT("filter.tree_dispatch", run.ok() ? *run : ~uint64_t{0});
   }
@@ -713,12 +698,8 @@ void PacketFilter::EvaluateChunk(std::span<const net::PacketView> views, FilterD
     for (size_t i = 0; marshalled && i < n; ++i) {
       marshalled = WriteSlot(exec.vm, i, views[i], chunk.gen.payload_bytes_needed);
     }
-    if (marshalled) {
-      exec.burst.emplace(OpenBurst{exec.vm});
-      chunk.open_bursts = touched;
-      if (exec.burst->CallMany(0, kFilterBatchSlot, n, pairs)) {
-        chunk.verdicts = pairs;
-      }
+    if (marshalled && exec.vm.BeginBurst(0).CallMany(0, kFilterBatchSlot, n, pairs)) {
+      chunk.verdicts = pairs;
     }
   }
 
@@ -729,11 +710,6 @@ void PacketFilter::EvaluateChunk(std::span<const net::PacketView> views, FilterD
     const uint64_t word =
         std::bit_cast<uint64_t>(EvaluateOn(*shards_[shard_of[i]], chunk, i, views[i], dir));
     out[i] = std::bit_cast<FilterDecision>(word);
-  }
-  // Close the bursts (flushing their deferred VM stats into the pinned
-  // generation's VMs) BEFORE unpinning the shards.
-  for (uint64_t bits = chunk.open_bursts; bits != 0; bits &= bits - 1) {
-    chunk.gen.shards[static_cast<size_t>(std::countr_zero(bits))]->burst.reset();
   }
   for_each_touched([this](Shard& shard) { UnpinShard(shard); });
 }

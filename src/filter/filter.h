@@ -36,7 +36,6 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
@@ -126,7 +125,8 @@ struct FilterConfig {
   // Optional: with a clock, flows idle for `flow_ttl` virtual nanoseconds
   // expire (0 disables expiry). The same clock feeds the procedures' `now`
   // host helper (ratelimit needs it for meaningful rates; without a clock
-  // the helper falls back to the evaluation counter).
+  // the helper falls back to the evaluating shard's own `evaluated`
+  // counter, which only that shard's worker writes).
   const VirtualClock* clock = nullptr;
   VTime flow_ttl = 0;
   // Code-generation backend for compiled rule sets.
@@ -197,8 +197,8 @@ static_assert(std::size(kFilterStatsSlots) - 2 == sizeof(FilterStats) / sizeof(u
 // rule-set generation; packet i's *slot* is the kFilterBatchSlot-byte
 // descriptor area at offset i * kFilterBatchSlot of its shard VM's memory.
 // The classifier runs packet i by re-basing guest address 0 onto its slot
-// (one VM burst per shard per chunk, amortizing JitContext setup and the
-// native prologue across the burst).
+// (Vm::Burst::Call: one VM entry per classified packet, or one CallMany
+// trampoline entry for a stateless chunk's pre-pass).
 inline constexpr size_t kMaxFilterShards = 64;
 inline constexpr size_t kMaxFilterBatch = 64;    // packets per burst chunk
 inline constexpr size_t kFilterBatchSlot = 256;  // bytes per descriptor slot
@@ -237,9 +237,9 @@ class PacketFilter : public obj::Object {
   // per-packet verdicts, flow-table updates, stats, and procedure-chain
   // semantics bit-identical to calling Evaluate in a loop (the differential
   // test enforces it) — both go through the same chunk path. The win is
-  // amortization: each touched shard pins the generation once, and each
-  // shard's classifier runs as one Vm::Burst — JitContext invariants written
-  // once, stats flushed once. Requires decisions.size() >= views.size().
+  // amortization: each touched shard pins the generation once per chunk,
+  // and a stateless single-shard chunk classifies every packet in one
+  // CallMany trampoline entry. Requires decisions.size() >= views.size().
   void EvaluateBatch(std::span<const net::PacketView> views, net::FilterDirection dir,
                      std::span<net::FilterDecision> decisions);
 
@@ -344,15 +344,11 @@ class PacketFilter : public obj::Object {
 
   // Per-shard execution state bound to one installed generation: a
   // classifier VM (own JitContext, sharing the generation's verified program
-  // and its one compiled JitProgram), its burst while a chunk has one open,
-  // plus the shard's procedure-chain instances with their persistent
-  // per-shard VM state.
+  // and its one compiled JitProgram) plus the shard's procedure-chain
+  // instances with their persistent per-shard VM state.
   struct ShardExec {
     ShardExec(const sfi::VerifiedProgram* p, sfi::ExecMode mode) : vm(p, mode) {}
     sfi::Vm vm;
-    // Opened by the first classification of a chunk on this shard, closed
-    // when the chunk ends; empty in between.
-    std::optional<sfi::Vm::Burst> burst;
     std::vector<ProcChain> chains;  // chains[i] backs chain id i+1
   };
 
@@ -401,12 +397,11 @@ class PacketFilter : public obj::Object {
     std::atomic<uint64_t> pinned{kShardIdle};
   };
 
-  // The chunk in flight: its pinned generation, the shards whose classifier
-  // burst it has opened, and — stateless single-shard chunks only — the
-  // [result, fault] pairs a CallMany pre-pass already computed per slot.
+  // The chunk in flight: its pinned generation and — stateless single-shard
+  // chunks only — the [result, fault] pairs a CallMany pre-pass already
+  // computed per slot.
   struct Chunk {
     LoadedProgram& gen;
-    uint64_t open_bursts = 0;
     const uint64_t* verdicts = nullptr;
   };
 
@@ -434,8 +429,8 @@ class PacketFilter : public obj::Object {
   // records the ticks into the per-verdict histogram.
   void RecordClassifyLatency(net::FilterVerdict verdict, uint64_t ticks);
   // The one classifier entry — first packet of a flow, stale-epoch reverse
-  // re-decide, single and burst entry alike: marshals `view` into `slot`,
-  // opens `shard`'s burst on first use and runs the classifier on the slot.
+  // re-decide, single and burst entry alike: marshals `view` into `slot`
+  // and runs the classifier on the slot as one VM entry.
   // A slot that does not fit the VM's memory (descriptor fault) or a VM
   // fault fails closed (drop). Reads the pre-pass verdict instead when the
   // chunk has one.
@@ -455,10 +450,10 @@ class PacketFilter : public obj::Object {
                                                                const net::PacketView& view,
                                                                net::FilterDirection dir);
   // One chunk of at most kMaxFilterBatch packets: steer, pin touched shards,
-  // evaluate in order, close the bursts, unpin. These three are forced
-  // inline (their only callers are in filter.cc): Evaluate then compiles to
-  // a chunk of one with the loops folded away, and the per-packet engine
-  // carries no call overhead — the flow-hit smoke gate holds them to it.
+  // evaluate in order, unpin. These three are forced inline (their only
+  // callers are in filter.cc): Evaluate then compiles to a chunk of one with
+  // the loops folded away, and the per-packet engine carries no call
+  // overhead — the flow-hit smoke gate holds them to it.
   [[gnu::always_inline]] inline void EvaluateChunk(std::span<const net::PacketView> views,
                                                    net::FilterDirection dir,
                                                    net::FilterDecision* out);

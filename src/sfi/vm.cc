@@ -78,6 +78,81 @@ Status JitFaultToStatus(JitFault fault) {
   return Status(ErrorCode::kInternal, "jit: bad fault code");
 }
 
+// Scope of one VM entry: counts it in sfi.vm.runs with one relaxed
+// per-thread store. 1 run in 64 — the run counter is the sequence number —
+// also gets an sfi.vm.run span whose args carry the serving backend, and an
+// sfi.vm.run_ticks latency sample.
+class RunSample {
+ public:
+  explicit RunSample(const Vm& vm) : vm_(vm) {
+    if constexpr (telemetry::kEnabled) {
+      if ((Telemetry().runs.IncAndCount() & 63) == 0) [[unlikely]] {
+        telemetry::EmitTrace("sfi.vm.run", telemetry::TracePhase::kBegin,
+                             static_cast<uint64_t>(vm.backend()));
+        t0_ = telemetry::TraceClock();
+      }
+    }
+  }
+  ~RunSample() {
+    if constexpr (telemetry::kEnabled) {
+      if (t0_ != 0) [[unlikely]] {
+        Telemetry().ticks.Record(telemetry::TraceClock() - t0_);
+        telemetry::EmitTrace("sfi.vm.run", telemetry::TracePhase::kEnd,
+                             static_cast<uint64_t>(vm_.backend()));
+      }
+    }
+  }
+  RunSample(const RunSample&) = delete;
+  RunSample& operator=(const RunSample&) = delete;
+
+  // Counts `runs` entries that take no sample: a CallMany trampoline's slots.
+  static void Count(uint64_t runs) {
+    if constexpr (telemetry::kEnabled) {
+      Telemetry().runs.Add(runs);
+    }
+  }
+
+ private:
+  struct Metrics {
+    telemetry::Counter runs = telemetry::Registry::Get().counter("sfi.vm.runs");
+    telemetry::Histogram ticks = telemetry::Registry::Get().histogram("sfi.vm.run_ticks");
+  };
+  static Metrics& Telemetry() {
+    static Metrics metrics;
+    return metrics;
+  }
+
+  const Vm& vm_;
+  uint64_t t0_ = 0;  // nonzero while sampled
+};
+
+// Zeroes the counters the generated code increments in place. Trusted code
+// emits no checks, so it never touches bounds_checks or static_proofs.
+void ResetJitCounters(JitContext& ctx, ExecMode mode) {
+  if (mode == ExecMode::kSandboxed) {
+    ctx.bounds_checks = 0;
+    ctx.static_proofs = 0;
+  }
+  ctx.calls = 0;
+  ctx.host_calls = 0;
+}
+
+// Folds one native entry's counter deltas — a single run, or a CallMany
+// trampoline's `runs` slots — into `stats`: the JIT twin of RunImpl's
+// CounterFlush. ctx.bounds_checks holds the dynamically tested accesses,
+// ctx.static_proofs the proven ones; their sum is the coverage count
+// VmStats::bounds_checks reports.
+void FoldJitCounters(const JitContext& ctx, ExecMode mode, uint64_t runs, VmStats& stats) {
+  stats.instructions += ctx.instructions;
+  if (mode == ExecMode::kSandboxed) {
+    stats.bounds_checks += ctx.bounds_checks + ctx.static_proofs;
+    stats.static_proofs += ctx.static_proofs;
+  }
+  stats.calls += ctx.calls;
+  stats.host_calls += ctx.host_calls;
+  stats.jit_runs += runs;
+}
+
 }  // namespace
 
 Vm::Vm(const VerifiedProgram* program, ExecMode mode, VmBackend backend)
@@ -111,104 +186,65 @@ bool Vm::CallHostHelper(uint32_t slot, uint64_t* top) {
   return true;
 }
 
-Result<uint64_t> Vm::Run(size_t method, uint64_t a0, uint64_t a1, uint64_t a2, uint64_t a3) {
-  if constexpr (telemetry::kEnabled) {
-    // One static guard + one relaxed per-thread store on every run; the
-    // expensive parts (TSC reads, a trace span carrying the resolved
-    // backend, the latency histogram) are sampled 1-in-64 using the run
-    // counter itself as the sequence number.
-    static struct {
-      telemetry::Counter runs = telemetry::Registry::Get().counter("sfi.vm.runs");
-      telemetry::Histogram ticks = telemetry::Registry::Get().histogram("sfi.vm.run_ticks");
-    } telem;
-    const uint64_t n = telem.runs.IncAndCount();
-    if ((n & 63) == 0) [[unlikely]] {
-      telemetry::EmitTrace("sfi.vm.run", telemetry::TracePhase::kBegin,
-                           static_cast<uint64_t>(backend_));
-      const uint64_t t0 = telemetry::TraceClock();
-      Result<uint64_t> result = RunDispatch(method, a0, a1, a2, a3);
-      telem.ticks.Record(telemetry::TraceClock() - t0);
-      // End arg carries the backend that actually served the run (a lazy
-      // JIT-compile failure flips backend_ inside RunDispatch).
-      telemetry::EmitTrace("sfi.vm.run", telemetry::TracePhase::kEnd,
-                           static_cast<uint64_t>(backend_));
-      return result;
+bool Vm::UseJit() {
+  if (backend_ == VmBackend::kJit && jit_ == nullptr) [[unlikely]] {
+    auto compiled = GetOrCompileJit(*program_, mode_);
+    if (compiled.ok()) {
+      jit_ = std::move(compiled).value();
+      jit_ctx_ = std::make_unique<JitContext>();
+      // Invariant fields, written once. The helper table pointers target the
+      // member arrays themselves, so SetHostHelper's in-place writes are
+      // visible without re-publishing.
+      jit_ctx_->helpers = host_helpers_;
+      jit_ctx_->helper_ctx = host_ctx_;
+    } else {
+      // Fail open to the portable loop, but observably: backend() flips so
+      // tests (and the filter's stats) can tell fallback from a JIT run.
+      backend_ = VmBackend::kThreaded;
     }
   }
-  return RunDispatch(method, a0, a1, a2, a3);
+  return jit_ != nullptr;
 }
 
-Result<uint64_t> Vm::RunDispatch(size_t method, uint64_t a0, uint64_t a1, uint64_t a2,
-                                 uint64_t a3) {
+Result<uint64_t> Vm::Enter(size_t method, size_t mem_off, uint64_t a0, uint64_t a1, uint64_t a2,
+                           uint64_t a3) {
   if (method >= program_->entry_points.size()) {
     return Status(ErrorCode::kNotFound, "no such entry point");
   }
-  if (backend_ == VmBackend::kJit) {
-    if (jit_ == nullptr) {
-      auto compiled = GetOrCompileJit(*program_, mode_);
-      if (compiled.ok()) {
-        jit_ = std::move(compiled).value();
-      } else {
-        // Fail open to the portable loop, but observably: backend() flips so
-        // tests (and the filter's stats) can tell fallback from a JIT run.
-        backend_ = VmBackend::kThreaded;
-      }
-    }
-    if (jit_ != nullptr) {
-      return RunJit(method, a0, a1, a2, a3);
-    }
-  }
+  PARA_CHECK(mem_off <= memory_.size());
+  const bool jit = UseJit();
+  RunSample sample(*this);
   // Compile-time specialization: the trusted loop contains no trace of the
   // run-time checks, exactly like certified native code.
-  if (mode_ == ExecMode::kSandboxed) {
-    return RunImpl<true>(method, a0, a1, a2, a3, 0);
+  auto threaded = [&]() -> Result<uint64_t> {
+    if (mode_ == ExecMode::kSandboxed) {
+      return RunImpl<true>(method, a0, a1, a2, a3, mem_off);
+    }
+    return RunImpl<false>(method, a0, a1, a2, a3, mem_off);
+  };
+  if (!jit) {
+    return threaded();
   }
-  return RunImpl<false>(method, a0, a1, a2, a3, 0);
-}
 
-JitContext& Vm::JitCtx() {
-  if (jit_ctx_ == nullptr) [[unlikely]] {
-    jit_ctx_ = std::make_unique<JitContext>();
-    // Invariant fields, written once at attach. The helper table pointers
-    // target the member arrays themselves, so SetHostHelper's in-place
-    // writes are visible without re-publishing.
-    jit_ctx_->helpers = host_helpers_;
-    jit_ctx_->helper_ctx = host_ctx_;
-  }
   JitContext& ctx = *jit_ctx_;
-  // memory() is a mutable accessor: refresh the base/size only when the
-  // vector moved or was resized. Same saturation as RunImpl — never let
-  // mem_size wrap (a wrapped size would disable every sandbox bounds check).
-  if (memory_.data() != jit_mem_base_ || memory_.size() != jit_mem_bytes_) [[unlikely]] {
-    jit_mem_base_ = memory_.data();
-    jit_mem_bytes_ = memory_.size();
-    ctx.mem = jit_mem_base_;
-    ctx.mem_size = jit_mem_bytes_ < 8 ? 0 : jit_mem_bytes_ - 8;
-  }
-  return ctx;
-}
-
-Result<uint64_t> Vm::RunJit(size_t method, uint64_t a0, uint64_t a1, uint64_t a2, uint64_t a3) {
-  JitContext& ctx = JitCtx();
   ctx.args[0] = a0;
   ctx.args[1] = a1;
   ctx.args[2] = a2;
   ctx.args[3] = a3;
+  // Every run computes its own window: guest address 0 at memory_[mem_off],
+  // with RunImpl's saturation — never let mem_size wrap (a wrapped size
+  // would disable every sandbox bounds check).
+  const size_t bytes = memory_.size();
+  ctx.mem = memory_.data() + mem_off;
+  ctx.mem_size = (bytes < 8 || bytes - 8 < mem_off) ? 0 : bytes - 8 - mem_off;
   // instructions and result need no reset: every exit path (fault stubs
   // included) funnels through the common epilogue, which overwrites
   // ctx.instructions from the retire counter, and ctx.result is written by
-  // every clean exit and unread on faults. The incremented-in-place
-  // counters and the call stack pointer DO need zeroing per run — except
-  // that trusted code neither reads fuel nor touches bounds_checks (the
-  // prologue skips the fuel load; no checks are emitted), so those two
-  // fields go untouched on the trusted path.
+  // every clean exit and unread on faults. Trusted code never reads fuel.
   if (mode_ == ExecMode::kSandboxed) {
     ctx.fuel = fuel_;
-    ctx.bounds_checks = 0;
-    ctx.static_proofs = 0;
   }
-  ctx.calls = 0;
-  ctx.host_calls = 0;
+  ResetJitCounters(ctx, mode_);
   ctx.call_sp = 0;
 
   const JitFault fault = jit_->Run(method, &ctx);
@@ -220,127 +256,27 @@ Result<uint64_t> Vm::RunJit(size_t method, uint64_t a0, uint64_t a1, uint64_t a2
     // interpreter, whose per-run proof mask is then zero and checks every
     // access. Metering and stats are identical; only static_proofs stops
     // counting — and jit_runs, honestly, does not tick.
-    return RunImpl<true>(method, a0, a1, a2, a3, 0);
+    return threaded();
   }
-
   // Counter deltas land in stats_ on every exit, fault or clean — the same
   // contract as the interpreter's CounterFlush destructor.
-  stats_.instructions += ctx.instructions;
-  if (mode_ == ExecMode::kSandboxed) {
-    // Same flush-time fold as CounterFlush: ctx.bounds_checks holds the
-    // dynamically tested accesses, ctx.static_proofs the proven ones; their
-    // sum is the coverage count VmStats::bounds_checks reports.
-    stats_.bounds_checks += ctx.bounds_checks + ctx.static_proofs;
-    stats_.static_proofs += ctx.static_proofs;
-  }
-  stats_.calls += ctx.calls;
-  stats_.host_calls += ctx.host_calls;
-  ++stats_.jit_runs;
-
+  FoldJitCounters(ctx, mode_, /*runs=*/1, stats_);
   if (fault == JitFault::kNone) {
     return ctx.result;
   }
   return JitFaultToStatus(fault);
 }
 
-Vm::Burst::Burst(Vm& vm, size_t method)
-    : vm_(&vm), method_(method), valid_(method < vm.program_->entry_points.size()) {
-  // Resolve the backend exactly like RunDispatch — lazy compile, observable
-  // fallback — so a burst is indistinguishable from a loop of Run().
-  if (valid_ && vm_->backend_ == VmBackend::kJit && vm_->jit_ == nullptr) {
-    auto compiled = GetOrCompileJit(*vm_->program_, vm_->mode_);
-    if (compiled.ok()) {
-      vm_->jit_ = std::move(compiled).value();
-    } else {
-      vm_->backend_ = VmBackend::kThreaded;
-    }
-  }
-  jit_ = valid_ && vm_->backend_ == VmBackend::kJit;
-  if (jit_) {
-    JitContext& ctx = vm_->JitCtx();
-    ctx.args[1] = 0;
-    ctx.args[2] = 0;
-    ctx.args[3] = 0;
-    // Zeroed once here; the generated code increments them in place, so they
-    // accumulate across the whole burst and flush in the destructor.
-    ctx.bounds_checks = 0;
-    ctx.static_proofs = 0;
-    ctx.calls = 0;
-    ctx.host_calls = 0;
-  }
-}
-
-Vm::Burst::~Burst() {
-  if (vm_ == nullptr) {
-    return;  // moved-from
-  }
-  if (jit_ && jit_runs_ > 0) {
-    JitContext& ctx = *vm_->jit_ctx_;
-    vm_->stats_.instructions += instructions_;
-    vm_->stats_.bounds_checks += ctx.bounds_checks + ctx.static_proofs;
-    vm_->stats_.static_proofs += ctx.static_proofs;
-    vm_->stats_.calls += ctx.calls;
-    vm_->stats_.host_calls += ctx.host_calls;
-    vm_->stats_.jit_runs += jit_runs_;
-    // ctx.mem was re-based per call: restore the full window the cache key
-    // describes, so the next run or burst finds the context current.
-    ctx.mem = vm_->jit_mem_base_;
-    ctx.mem_size = vm_->jit_mem_bytes_ < 8 ? 0 : vm_->jit_mem_bytes_ - 8;
-  }
-  if constexpr (telemetry::kEnabled) {
-    if (runs_ > 0) {
-      static telemetry::Counter counter = telemetry::Registry::Get().counter("sfi.vm.runs");
-      counter.Add(runs_);
-    }
-  }
+Result<uint64_t> Vm::Run(size_t method, uint64_t a0, uint64_t a1, uint64_t a2, uint64_t a3) {
+  return Enter(method, /*mem_off=*/0, a0, a1, a2, a3);
 }
 
 Result<uint64_t> Vm::Burst::Call(size_t mem_off, uint64_t a0) {
-  if (!valid_) {
-    return Status(ErrorCode::kNotFound, "no such entry point");
-  }
-  PARA_CHECK(mem_off <= vm_->memory_.size());
-  ++runs_;
-  if (!jit_) {
-    // Threaded backend: RunImpl flushes its own counters per call; only the
-    // descriptor re-base differs from a plain Run().
-    if (vm_->mode_ == ExecMode::kSandboxed) {
-      return vm_->RunImpl<true>(method_, a0, 0, 0, 0, mem_off);
-    }
-    return vm_->RunImpl<false>(method_, a0, 0, 0, 0, mem_off);
-  }
-  JitContext& ctx = *vm_->jit_ctx_;
-  ctx.args[0] = a0;
-  // Re-base guest address 0 onto the descriptor slot; sandboxed bounds
-  // shrink by the same offset (saturating, as everywhere).
-  ctx.mem = vm_->memory_.data() + mem_off;
-  const size_t bytes = vm_->memory_.size();
-  ctx.mem_size = (bytes < 8 || bytes - 8 < mem_off) ? 0 : bytes - 8 - mem_off;
-  ctx.fuel = vm_->fuel_;
-  ctx.call_sp = 0;
-
-  const JitFault fault = vm_->jit_->Run(method_, &ctx);
-  if (fault == JitFault::kElideFloorMiss) [[unlikely]] {
-    // Re-based window below the analyzer's elide_floor: this call must take
-    // the checked interpreter (nothing ran, no counters moved). The context
-    // was re-based above and the destructor's cache-key clear only fires
-    // after a served JIT run, so clear it here.
-    vm_->jit_mem_base_ = nullptr;
-    if (vm_->mode_ == ExecMode::kSandboxed) {
-      return vm_->RunImpl<true>(method_, a0, 0, 0, 0, mem_off);
-    }
-    return vm_->RunImpl<false>(method_, a0, 0, 0, 0, mem_off);
-  }
-  instructions_ += ctx.instructions;
-  ++jit_runs_;
-  if (fault == JitFault::kNone) {
-    return ctx.result;
-  }
-  return JitFaultToStatus(fault);
+  return vm_->Enter(method_, mem_off, a0, 0, 0, 0);
 }
 
 bool Vm::Burst::CallMany(size_t base_off, size_t stride, size_t count, uint64_t* out) {
-  if (!valid_ || !jit_ || count == 0) {
+  if (method_ >= vm_->program_->entry_points.size() || count == 0 || !vm_->UseJit()) {
     return false;
   }
   // The whole layout must sit under the bounds slack: every slot i then gets
@@ -364,7 +300,8 @@ bool Vm::Burst::CallMany(size_t base_off, size_t stride, size_t count, uint64_t*
     return false;
   }
   JitContext& ctx = *vm_->jit_ctx_;
-  ctx.args[0] = 0;
+  std::memset(ctx.args, 0, sizeof(ctx.args));
+  ResetJitCounters(ctx, vm_->mode_);
   ctx.burst_mem = vm_->memory_.data() + base_off;
   ctx.burst_mem_size = bytes - 8 - base_off;
   ctx.burst_stride = stride;
@@ -372,11 +309,11 @@ bool Vm::Burst::CallMany(size_t base_off, size_t stride, size_t count, uint64_t*
   ctx.burst_fuel = vm_->fuel_;
   ctx.burst_out = out;
   vm_->jit_->RunBurst(method_, &ctx);
-  // The trampoline left the burst's total retire count in ctx.instructions;
-  // per-slot jit_runs accounting matches a loop of Call().
-  runs_ += count;
-  jit_runs_ += count;
-  instructions_ += ctx.instructions;
+  // The trampoline left the burst's total retire count in ctx.instructions,
+  // and the in-place counters summed over every slot; jit_runs and
+  // sfi.vm.runs count each slot, as a loop of Call() would.
+  FoldJitCounters(ctx, vm_->mode_, /*runs=*/count, vm_->stats_);
+  RunSample::Count(count);
   return true;
 }
 

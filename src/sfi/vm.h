@@ -36,7 +36,7 @@ struct VmStats {
   uint64_t bounds_checks = 0;
   uint64_t calls = 0;
   uint64_t host_calls = 0;  // kHostCall helper invocations
-  uint64_t jit_runs = 0;    // Run() invocations served by native code
+  uint64_t jit_runs = 0;    // runs (Run, Call, CallMany slots) served by native code
   // Of the bounds_checks above, how many were discharged by the verifier's
   // static analyzer (kInsnProvenInBounds) rather than a run-time range test.
   // Always <= bounds_checks; 0 when the program was verified with
@@ -83,36 +83,17 @@ class Vm {
   Result<uint64_t> Run(size_t method, uint64_t a0 = 0, uint64_t a1 = 0, uint64_t a2 = 0,
                        uint64_t a3 = 0);
 
-  // A burst amortizes per-run entry cost across many calls to one entry
-  // point. On the JIT backend the JitContext invariants (memory base/size,
-  // helper table) are written once at burst start, the VmStats/telemetry
-  // flush is deferred to burst end, and bounds_checks/calls/host_calls
-  // accumulate in the context across the whole burst. Each Call() may
-  // re-base guest address 0 to byte offset `mem_off` of this Vm's memory —
-  // sandboxed bounds shrink by the same offset — which lets a caller marshal
-  // N packet descriptors side by side and evaluate each without re-copying.
-  // Results, faults, fuel boundaries, and final VmStats are bit-identical to
-  // the equivalent loop of Run() calls (the differential tests enforce it).
-  // Do not call Run() on the Vm while one of its bursts is open: the
-  // deferred counter flush would double- or under-count.
+  // A burst is a handle on one entry point of this Vm that runs it over
+  // re-based windows: each Call() puts guest address 0 at byte offset
+  // `mem_off` of this Vm's memory — sandboxed bounds shrink by the same
+  // offset — which lets a caller marshal N packet descriptors side by side
+  // and evaluate each without re-copying. Every Call() is a complete run
+  // through the same entry as Run(): results, faults, fuel boundaries,
+  // VmStats and telemetry are those of a Run() over that window, and the
+  // handle keeps no state between calls, so Run() and Call() interleave
+  // freely.
   class Burst {
    public:
-    Burst(const Burst&) = delete;
-    Burst& operator=(const Burst&) = delete;
-    // Movable so callers can stage bursts in std::optional slots; the
-    // moved-from burst is inert (its flush responsibility transfers).
-    Burst(Burst&& other) noexcept
-        : vm_(other.vm_),
-          method_(other.method_),
-          valid_(other.valid_),
-          jit_(other.jit_),
-          runs_(other.runs_),
-          jit_runs_(other.jit_runs_),
-          instructions_(other.instructions_) {
-      other.vm_ = nullptr;
-    }
-    ~Burst();
-
     // Runs the burst's entry point with guest address 0 at memory()[mem_off]
     // and a single argument. mem_off must not exceed memory().size().
     Result<uint64_t> Call(size_t mem_off, uint64_t a0 = 0);
@@ -133,19 +114,13 @@ class Vm {
 
    private:
     friend class Vm;
-    Burst(Vm& vm, size_t method);
+    Burst(Vm& vm, size_t method) : vm_(&vm), method_(method) {}
 
     Vm* vm_;
     size_t method_;
-    bool valid_;  // entry point exists
-    bool jit_;    // served by native code
-    uint64_t runs_ = 0;
-    uint64_t jit_runs_ = 0;
-    uint64_t instructions_ = 0;
   };
 
-  // The burst object must not outlive the Vm (or a memory() reallocation is
-  // fine — Call() re-reads the base every call on both backends).
+  // The burst must not outlive the Vm.
   Burst BeginBurst(size_t method) { return Burst(*this, method); }
 
   std::vector<uint8_t>& memory() { return memory_; }
@@ -163,6 +138,22 @@ class Vm {
   void SetHostHelper(size_t index, HostHelper helper, void* ctx);
 
  private:
+  // The one way into the program, behind Run() and Burst::Call(), with guest
+  // address 0 at memory_[mem_off]. Every entry is a complete run — JIT
+  // resolve, context write, native code (or the threaded loop), counter
+  // fold and telemetry — so nothing outlives it. Forced inline: its only
+  // callers are in vm.cc, and collapsing Run → native entry into one frame
+  // is part of the entry-cost budget the BM_SfiNullTrusted smoke gate
+  // enforces.
+  [[gnu::always_inline]] inline Result<uint64_t> Enter(size_t method, size_t mem_off,
+                                                       uint64_t a0, uint64_t a1, uint64_t a2,
+                                                       uint64_t a3);
+
+  // True when native code serves this Vm. Compiles it (or fetches it
+  // through the program's JitCacheSlot) and allocates the JitContext on
+  // first use; a compile failure flips backend() to kThreaded for good.
+  [[gnu::always_inline]] inline bool UseJit();
+
   // The dispatch loop, specialized per mode at compile time so trusted
   // execution carries no residue of the sandbox checks. Computed-goto
   // threaded code under GCC/Clang, a switch loop elsewhere.
@@ -171,11 +162,7 @@ class Vm {
   // semantics are those of a memory that starts at the slot.
   template <bool kSandboxed>
   Result<uint64_t> RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a2, uint64_t a3,
-                           size_t mem_off = 0);
-
-  // Run() minus the telemetry wrapper: entry-point check, lazy JIT resolve,
-  // and dispatch to the native code or the mode-specialized threaded loop.
-  Result<uint64_t> RunDispatch(size_t method, uint64_t a0, uint64_t a1, uint64_t a2, uint64_t a3);
+                           size_t mem_off);
 
   // Out-of-line body of kHostCall (slot lookup, null check, indirect call).
   // Keeping the indirect call outside RunImpl keeps the threaded dispatch
@@ -183,23 +170,6 @@ class Vm {
   // and code layout for every op, not just hostcall. Returns false when the
   // slot is unbound (the caller faults, mode-invariantly).
   [[gnu::noinline]] bool CallHostHelper(uint32_t slot, uint64_t* top);
-
-  // Native-code Run path: compiles lazily on first use (shared through the
-  // program's JitCacheSlot), maps JitFaults back to the interpreter's exact
-  // Status codes and messages, and folds the run's counter deltas into
-  // stats_. Forced inline: its only callers are in vm.cc, and collapsing the
-  // Run → dispatch → native-entry chain into one frame is part of the
-  // entry-cost budget the BM_SfiNullTrusted smoke gate enforces.
-  [[gnu::always_inline]] inline Result<uint64_t> RunJit(size_t method, uint64_t a0,
-                                                        uint64_t a1, uint64_t a2, uint64_t a3);
-
-  // Returns the persistent JitContext, allocating it and writing the
-  // invariant fields (helper table) on first use, and refreshing the cached
-  // memory base/size only when memory() was resized or reallocated. This is
-  // the leaner calling convention that shaves the per-run setup cost: a
-  // steady-state Run() writes args/fuel and zeroes four counters, nothing
-  // else.
-  JitContext& JitCtx();
 
   const VerifiedProgram* program_;
   ExecMode mode_;
@@ -211,11 +181,6 @@ class Vm {
   void* host_ctx_[kMaxHostHelpers] = {};
   std::shared_ptr<const JitProgram> jit_;  // pinned compiled code (jit backend)
   std::unique_ptr<JitContext> jit_ctx_;    // reused across runs (~10 KiB)
-  // Cache keys for the JitContext's mem/mem_size fields: when they still
-  // match memory_, the per-run path skips both stores. A Burst that re-based
-  // ctx.mem clears jit_mem_base_ on close to force a refresh.
-  uint8_t* jit_mem_base_ = nullptr;
-  size_t jit_mem_bytes_ = 0;
 };
 
 }  // namespace para::sfi

@@ -131,8 +131,8 @@ TEST_F(NetDriverSlotMapTest, DriverSlotsMatchTableAndRegistry) {
   ASSERT_TRUE(nucleus_->vmem().Write(kernel, *buf, frame).ok());
   (*iface)->Invoke(0, *buf, frame.size());
 
-  for (size_t slot = 0; slot < std::size(kNetDriverStatsSlotNames); ++slot) {
-    const std::string_view slot_name = kNetDriverStatsSlotNames[slot];
+  for (size_t slot = 0; slot < std::size(kNetDriverStatsSlots); ++slot) {
+    const std::string_view slot_name = kNetDriverStatsSlots[slot].name;
     ASSERT_FALSE(slot_name.empty()) << "driver slot " << slot << " has no name";
     const std::string metric = "components.net_driver." + std::string(slot_name);
     uint64_t registry_value = 0;

@@ -382,8 +382,8 @@ TEST(RuleProcDifferentialTest, RateLimitWithClock) {
 }
 
 TEST(RuleProcDifferentialTest, RateLimitWithoutClock) {
-  // Without a clock the `now` helper falls back to the per-filter evaluation
-  // counter — still deterministic, still identical across modes.
+  // Without a clock the `now` helper falls back to the evaluating shard's own
+  // evaluation counter — still deterministic, still identical across modes.
   RunDifferential("pass dport 80 proc ratelimit(rate=1,burst=2)\ndefault drop\n", nullptr,
                   nullptr);
 }

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -430,6 +431,77 @@ TEST(ReloadUnderLoadTest, EstablishedFlowsSurviveHotReloadsAcrossShards) {
   filter.ReclaimRetired();
   EXPECT_EQ(filter.retired_generations(), 0u);
   EXPECT_EQ(filter.stats().evaluated, evaluated.load());
+}
+
+// --- clockless procedures under concurrent shards ---------------------------
+
+TEST(ClocklessProcTest, ShardClocksStayPrivateUnderConcurrentWorkers) {
+  // Without a clock, a procedure's `now` falls back to its own shard's
+  // evaluation counter. Two workers each drive their own shard: every
+  // shard's rate limiter must behave exactly like a single-shard filter fed
+  // only that shard's traffic, and — under TSan — no worker may read another
+  // shard's counter while its owner increments it.
+  constexpr size_t kShards = 2;
+  constexpr int kRounds = 2000;
+  const char* kRules = "pass from 10.0.0.0/8 proc ratelimit(rate=3,burst=2)\n";
+  auto rules = ParseRules(kRules);
+  ASSERT_TRUE(rules.ok());
+  auto make_filter = [&](size_t shards) {
+    FilterConfig config;
+    config.shards = shards;
+    config.track_flows = false;
+    auto created = PacketFilter::Create(config);
+    EXPECT_TRUE(created.ok());
+    EXPECT_TRUE((*created)->Load(*rules).ok());
+    return std::move(*created);
+  };
+  std::unique_ptr<PacketFilter> filter = make_filter(kShards);
+
+  std::vector<std::vector<PacketView>> per_worker(kShards);
+  para::Random rng(0xC10C);
+  for (size_t w = 0; w < kShards; ++w) {
+    while (per_worker[w].size() < 8) {
+      PacketView view;
+      view.src_ip = 0x0A000000u | rng.Next32() >> 8;
+      view.dst_ip = 0xC0A80001u;
+      view.src_port = static_cast<uint16_t>(10000 + rng.NextBelow(50000));
+      view.dst_port = static_cast<uint16_t>(4000 + rng.NextBelow(1000));
+      view.proto = net::kIpProtoUdpLite;
+      view.ttl = 64;
+      if (filter->SteerShard(view) == w) {
+        per_worker[w].push_back(view);
+      }
+    }
+  }
+
+  // Each worker's verdict sequence, round after round.
+  auto drive = [&](PacketFilter& target, const std::vector<PacketView>& mine) {
+    std::vector<FilterVerdict> verdicts;
+    std::vector<FilterDecision> decisions(mine.size());
+    for (int round = 0; round < kRounds; ++round) {
+      target.EvaluateBatch(mine, FilterDirection::kIngress, decisions);
+      for (const FilterDecision& decision : decisions) {
+        verdicts.push_back(decision.verdict);
+      }
+    }
+    return verdicts;
+  };
+  std::vector<std::vector<FilterVerdict>> seen(kShards);
+  std::vector<std::thread> workers;
+  for (size_t w = 0; w < kShards; ++w) {
+    workers.emplace_back([&, w] { seen[w] = drive(*filter, per_worker[w]); });
+  }
+  for (auto& worker : workers) {
+    worker.join();
+  }
+
+  uint64_t total = 0;
+  for (size_t w = 0; w < kShards; ++w) {
+    std::unique_ptr<PacketFilter> reference = make_filter(1);
+    EXPECT_EQ(seen[w], drive(*reference, per_worker[w])) << "shard " << w;
+    total += seen[w].size();
+  }
+  EXPECT_EQ(filter->stats().evaluated, total);
 }
 
 }  // namespace

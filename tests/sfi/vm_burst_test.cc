@@ -1,15 +1,17 @@
-// Vm::Burst correctness: a burst is a loop of Run() with the entry cost paid
-// once — results, faults, fuel boundaries, and final VmStats must be
-// bit-identical to the equivalent Run() loop on both backends and in both
-// execution modes, and the mem_off re-base must behave exactly like a memory
-// that starts at the slot. Also covers the persistent-JitContext plumbing the
-// burst relies on: helper bindings and memory resizes must stay visible
-// across runs even though the context caches invariants.
+// Vm::Burst correctness: every Call() is a complete run through the same
+// entry as Run() — results, faults, fuel boundaries, final VmStats and
+// telemetry must be bit-identical to the equivalent Run() loop on both
+// backends and in both execution modes, Run() and Call() must interleave
+// freely, and the mem_off re-base must behave exactly like a memory that
+// starts at the slot. Also covers the persistent-JitContext plumbing every
+// run relies on: helper bindings and memory resizes must stay visible
+// across runs even though the context keeps the helper table.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
+#include "src/base/telemetry.h"
 #include "src/sfi/assembler.h"
 #include "src/sfi/verifier.h"
 #include "src/sfi/vm.h"
@@ -84,7 +86,7 @@ TEST_P(VmBurstTest, BurstMatchesRunLoopBitExactly) {
       ASSERT_TRUE(run.ok());
       EXPECT_EQ(*run, loop_results[i]) << "i=" << i;
     }
-  }  // burst closes: deferred stats flush
+  }
 
   const VmStats& a = loop_vm.stats();
   const VmStats& b = burst_vm.stats();
@@ -182,6 +184,67 @@ TEST_P(VmBurstTest, MemoryResizeRefreshesCachedBase) {
   auto plain = vm.Run(0, 0);
   ASSERT_TRUE(plain.ok());
   EXPECT_EQ(*plain, sentinel + 1000);
+}
+
+TEST_P(VmBurstTest, RunWhileBurstIsOpenReadsItsOwnWindow) {
+  const auto [mode, backend] = GetParam();
+  VerifiedProgram program = LoadAtArgProgram();
+  Vm vm(&program, mode, backend);
+  Vm plain(&program, mode, backend);
+  FillMemory(vm);
+  FillMemory(plain);
+  ASSERT_EQ(vm.backend(), plain.backend());
+
+  {
+    Vm::Burst burst = vm.BeginBurst(0);
+    ASSERT_TRUE(burst.Call(1024, 0).ok());
+    // A Run() between two re-based calls reads guest address 16 at host
+    // offset 16 — not through the burst's window at 1024.
+    auto run = vm.Run(0, 16);
+    ASSERT_TRUE(run.ok());
+    uint64_t expected = 0;
+    std::memcpy(&expected, vm.memory().data() + 16, 8);
+    EXPECT_EQ(*run, expected + 1000);
+    ASSERT_TRUE(burst.Call(1024, 0).ok());
+  }
+
+  // The same three entries with no burst held open across the Run().
+  ASSERT_TRUE(plain.BeginBurst(0).Call(1024, 0).ok());
+  ASSERT_TRUE(plain.Run(0, 16).ok());
+  ASSERT_TRUE(plain.BeginBurst(0).Call(1024, 0).ok());
+
+  const VmStats& a = plain.stats();
+  const VmStats& b = vm.stats();
+  EXPECT_EQ(a.instructions, b.instructions);
+  EXPECT_EQ(a.bounds_checks, b.bounds_checks);
+  EXPECT_EQ(a.calls, b.calls);
+  EXPECT_EQ(a.host_calls, b.host_calls);
+  EXPECT_EQ(a.jit_runs, b.jit_runs);
+  EXPECT_EQ(a.static_proofs, b.static_proofs);
+}
+
+TEST_P(VmBurstTest, EveryCallIsCountedAndSampledLikeARun) {
+  if constexpr (!telemetry::kEnabled) GTEST_SKIP() << "built with PARA_NO_TELEMETRY";
+  const auto [mode, backend] = GetParam();
+  VerifiedProgram program = LoadAtArgProgram();
+  Vm vm(&program, mode, backend);
+  FillMemory(vm);
+
+  telemetry::Counter runs = telemetry::Registry::Get().counter("sfi.vm.runs");
+  telemetry::Histogram ticks = telemetry::Registry::Get().histogram("sfi.vm.run_ticks");
+  const uint64_t runs_before = runs.Value();
+  const uint64_t samples_before = ticks.Value().count;
+  {
+    Vm::Burst burst = vm.BeginBurst(0);
+    for (int i = 0; i < 64; ++i) {
+      ASSERT_TRUE(burst.Call(0, 0).ok());
+    }
+    // Runs are sampled 1-in-64 on the per-thread run count, so 64
+    // consecutive calls hold exactly one sample — taken while the burst is
+    // still open, as for 64 Run() calls.
+    EXPECT_EQ(ticks.Value().count - samples_before, 1u);
+  }
+  EXPECT_EQ(runs.Value() - runs_before, 64u);
 }
 
 TEST_P(VmBurstTest, BurstOnUnknownEntryPointFails) {
