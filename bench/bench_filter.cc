@@ -7,7 +7,8 @@
 //   * the stateful fast path: flow-table hit vs full rule evaluation, and
 //     behaviour under flow-table pressure (uniform flow churn with
 //     working sets below and above capacity);
-//   * hot rule-set reload cost (compile + verify + certify + validate).
+//   * hot rule-set reload cost (compile + verify + certify + validate), with
+//     and without rule procedures.
 #include <benchmark/benchmark.h>
 
 #include <memory>
@@ -489,6 +490,42 @@ void BM_FilterReloadCertified(benchmark::State& state) {
   state.counters["rules"] = static_cast<double>(state.range(0));
 }
 
+// The end-to-end rx rule shape: of `n` prefix/range rules 30% drop, and 45
+// of the passing ones attach `proc count proc log(every=64)` — 90 procedure
+// instances of two distinct programs.
+RuleSet ProcRules(size_t n) {
+  RuleSet set = PrefixRangeRules(n);
+  size_t with_procs = 0;
+  for (size_t i = 0; i < set.rules.size(); ++i) {
+    Rule& rule = set.rules[i];
+    rule.verdict = i % 10 < 3 ? net::FilterVerdict::kDrop : net::FilterVerdict::kPass;
+    if (rule.verdict == net::FilterVerdict::kPass && with_procs < 45 && i % 3 == 0) {
+      rule.procs.push_back({"count", {}});
+      rule.procs.push_back({"log", {{"every", 64}}});
+      ++with_procs;
+    }
+  }
+  return set;
+}
+
+void BM_FilterReloadCertifiedProcs(benchmark::State& state) {
+  // A certified reload of rules that carry procedures: the classifier plus
+  // one certificate per distinct procedure program.
+  auto& fx = CryptoFixture::Get();
+  auto filter = PacketFilter::Create({});
+  PARA_CHECK(filter.ok());
+  RuleSet set = ProcRules(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    PARA_CHECK((*filter)->LoadCertified(set, *fx.signer, *fx.service).ok());
+  }
+  state.counters["rules"] = static_cast<double>(state.range(0));
+  size_t instances = 0;
+  for (const PacketFilter::ProcChain& chain : (*filter)->chains()) {
+    instances += chain.size();
+  }
+  state.counters["proc_instances"] = static_cast<double>(instances);
+}
+
 void RuleSetSizes(benchmark::internal::Benchmark* bench) {
   for (long rules : {4L, 16L, 64L, 256L}) {
     bench->Arg(rules);
@@ -526,6 +563,7 @@ BENCHMARK(BM_FilterSharded)
     ->UseRealTime();
 BENCHMARK(BM_FilterReloadSandboxed)->Arg(16)->Arg(256);
 BENCHMARK(BM_FilterReloadCertified)->Arg(16)->Arg(256);
+BENCHMARK(BM_FilterReloadCertifiedProcs)->Arg(256);
 
 }  // namespace
 

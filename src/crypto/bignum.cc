@@ -371,17 +371,106 @@ BigNum BigNum::Mod(const BigNum& a, const BigNum& m) {
   return remainder;
 }
 
+namespace {
+
+// -m^-1 mod 2^32 for odd m: Newton's iteration doubles the correct low bits
+// each step, starting from the 3 that x = m already has (m*m == 1 mod 8).
+uint32_t MontgomeryFactor(uint32_t m0) {
+  uint32_t x = m0;
+  for (int i = 0; i < 4; ++i) {
+    x *= 2 - m0 * x;
+  }
+  return 0u - x;
+}
+
+// out = a * b * R^-1 mod m with R = 2^(32n), for n-limb operands below m.
+// Each of the n steps adds a*b[i] and q*m (q chosen so the low limb
+// cancels) to t and shifts t down a limb, in one pass with a carry chain
+// per product. Every uint64_t sum is at most (2^32 - 1) + (2^32 - 1)^2 +
+// (2^32 - 1) = 2^64 - 1, so none overflows. `t` is n + 1 limbs of scratch;
+// `out` may alias `a` or `b`.
+void MontMul(const uint32_t* a, const uint32_t* b, const uint32_t* m, uint32_t m_factor,
+             size_t n, uint32_t* t, uint32_t* out) {
+  std::fill(t, t + n + 1, 0u);
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t bi = b[i];
+    uint64_t ab = t[0] + a[0] * bi;
+    const uint64_t q = static_cast<uint32_t>(ab) * m_factor;  // wraps mod 2^32
+    uint64_t qm = static_cast<uint32_t>(ab) + q * m[0];  // low limb 0 by choice of q
+    uint64_t ab_carry = ab >> kLimbBits;
+    uint64_t qm_carry = qm >> kLimbBits;
+    for (size_t j = 1; j < n; ++j) {
+      ab = t[j] + a[j] * bi + ab_carry;
+      ab_carry = ab >> kLimbBits;
+      qm = static_cast<uint32_t>(ab) + q * m[j] + qm_carry;
+      qm_carry = qm >> kLimbBits;
+      t[j - 1] = static_cast<uint32_t>(qm);
+    }
+    ab = t[n] + ab_carry;
+    qm = static_cast<uint32_t>(ab) + qm_carry;
+    t[n - 1] = static_cast<uint32_t>(qm);
+    t[n] = static_cast<uint32_t>((ab >> kLimbBits) + (qm >> kLimbBits));
+  }
+  // t < 2m, so one conditional subtraction lands it in [0, m): keep t - m
+  // unless it borrows past t's top limb, i.e. t < m.
+  int64_t borrow = 0;
+  for (size_t j = 0; j < n; ++j) {
+    int64_t diff = static_cast<int64_t>(t[j]) - m[j] - borrow;
+    borrow = diff < 0 ? 1 : 0;
+    out[j] = static_cast<uint32_t>(diff);
+  }
+  if (borrow != 0 && t[n] == 0) {
+    std::copy(t, t + n, out);
+  }
+}
+
+}  // namespace
+
 BigNum BigNum::ModExp(const BigNum& base, const BigNum& exponent, const BigNum& modulus) {
   PARA_CHECK(!modulus.is_zero());
-  BigNum result(1);
-  BigNum b = Mod(base, modulus);
-  size_t bits = exponent.bit_length();
-  for (size_t i = 0; i < bits; ++i) {
-    if (exponent.Bit(i)) {
-      result = Mod(Mul(result, b), modulus);
-    }
-    b = Mod(Mul(b, b), modulus);
+  if (exponent.is_zero()) {
+    return Mod(BigNum(1), modulus);
   }
+  if (!modulus.is_odd()) {
+    // Montgomery reduction needs an odd modulus; plain square-and-multiply.
+    BigNum result(1);
+    BigNum b = Mod(base, modulus);
+    size_t bits = exponent.bit_length();
+    for (size_t i = 0; i < bits; ++i) {
+      if (exponent.Bit(i)) {
+        result = Mod(Mul(result, b), modulus);
+      }
+      b = Mod(Mul(b, b), modulus);
+    }
+    return result;
+  }
+
+  // Left-to-right square-and-multiply in Montgomery form: one division to
+  // enter (b*R mod m), one MontMul by 1 to leave, and no allocation between.
+  const size_t n = modulus.limbs_.size();
+  const uint32_t* m = modulus.limbs_.data();
+  const uint32_t m_factor = MontgomeryFactor(m[0]);
+  BigNum entered = Mod(ShiftLeft(base, n * kLimbBits), modulus);
+  // Scratch: [b*R | accumulator | MontMul temporary (n + 1)].
+  std::vector<uint32_t> scratch(3 * n + 1, 0);
+  uint32_t* b = scratch.data();
+  uint32_t* acc = b + n;
+  uint32_t* t = acc + n;
+  std::copy(entered.limbs_.begin(), entered.limbs_.end(), b);
+  std::copy(b, b + n, acc);  // the exponent's top bit
+  for (size_t i = exponent.bit_length() - 1; i-- > 0;) {
+    MontMul(acc, acc, m, m_factor, n, t, acc);
+    if (exponent.Bit(i)) {
+      MontMul(acc, b, m, m_factor, n, t, acc);
+    }
+  }
+  // Leave Montgomery form: acc * 1 * R^-1.
+  std::fill(b, b + n, 0u);
+  b[0] = 1;
+  BigNum result;
+  result.limbs_.resize(n);
+  MontMul(acc, b, m, m_factor, n, t, result.limbs_.data());
+  result.Trim();
   return result;
 }
 

@@ -59,7 +59,12 @@ class BigNum {
   static BigNum ShiftLeft(const BigNum& a, size_t bits);
   static BigNum ShiftRight(const BigNum& a, size_t bits);
 
-  // (base ^ exponent) mod modulus; square-and-multiply.
+  // (base ^ exponent) mod modulus, always reduced (so modulus 1 gives 0).
+  // An odd modulus (every RSA modulus and Miller-Rabin candidate) runs
+  // Montgomery multiplication over one scratch buffer per call: a division
+  // to enter Montgomery form, a multiply to leave it, and no allocation or
+  // division per step. An even modulus falls back to square-and-multiply
+  // with a Knuth reduction per multiply.
   static BigNum ModExp(const BigNum& base, const BigNum& exponent, const BigNum& modulus);
   // Multiplicative inverse of a mod m (extended Euclid); returns zero when
   // gcd(a, m) != 1.

@@ -13,10 +13,12 @@ namespace {
 // carries the same tamper-evidence with none of the DER machinery.)
 constexpr uint8_t kSha256Marker[4] = {0x53, 0x32, 0x35, 0x36};  // "S256"
 
+// The shortest padded block, 00 01 00 marker digest with no FF run: 39 bytes.
+constexpr size_t kMinPaddedBytes = 3 + sizeof(kSha256Marker) + sizeof(Digest);
+
 // Builds 00 01 FF..FF 00 marker digest, `len` bytes total.
 std::vector<uint8_t> PadDigest(const Digest& digest, size_t len) {
-  constexpr size_t kOverhead = 3 + sizeof(kSha256Marker);
-  PARA_CHECK(len >= digest.size() + kOverhead);
+  PARA_CHECK(len >= kMinPaddedBytes);
   std::vector<uint8_t> out(len, 0xFF);
   out[0] = 0x00;
   out[1] = 0x01;
@@ -74,6 +76,12 @@ std::vector<uint8_t> Sign(const RsaPrivateKey& key, const Digest& digest) {
 para::Status Verify(const RsaPublicKey& key, const Digest& digest,
                     std::span<const uint8_t> signature) {
   size_t len = key.modulus_bytes();
+  // A key too short for the padded digest can verify nothing. The key comes
+  // from a registered grant and the signature from outside, so this is a
+  // rejection, not a check failure.
+  if (len < kMinPaddedBytes) {
+    return para::Status(para::ErrorCode::kCertificateInvalid, "modulus too short");
+  }
   if (signature.size() != len) {
     return para::Status(para::ErrorCode::kCertificateInvalid, "signature length mismatch");
   }

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <map>
+#include <string>
+#include <utility>
 
 #include "src/base/log.h"
 #include "src/sfi/verifier.h"
@@ -203,6 +206,10 @@ Result<std::vector<std::vector<PacketFilter::ProcChain>>> PacketFilter::Instanti
   for (std::vector<ProcChain>& chains : per_shard) {
     chains.reserve(compiled.chains.size());
   }
+  // The verified (and, for kTrusted, certified) artifact of each distinct
+  // (procedure name, program) in this load, keyed like the program cache.
+  std::map<std::pair<std::string, std::string>, std::shared_ptr<const sfi::VerifiedProgram>>
+      distinct;
   uint16_t ordinal = 0;
   for (const std::vector<RuleProcSpec>& specs : compiled.chains) {
     std::vector<ProcChain> chain(nshards);
@@ -211,22 +218,27 @@ Result<std::vector<std::vector<PacketFilter::ProcChain>>> PacketFilter::Instanti
         // The event encoding carries the procedure id in 11 bits.
         return Status(ErrorCode::kResourceExhausted, "too many procedure instances");
       }
-      // Generate/verify/certify ONCE per spec: shards share the verified
-      // (and certified) artifact and differ only in VM state. Ordinals are
-      // identical across shards, so event details agree wherever the packet
-      // steered.
+      // Verify/certify ONCE per distinct program: every instance of it, on
+      // every shard, shares the artifact and differs only in VM state.
+      // Ordinals are identical across shards, so event details agree
+      // wherever the packet steered.
       PARA_ASSIGN_OR_RETURN(sfi::Program program, registry.Generate(spec));
-      PARA_ASSIGN_OR_RETURN(std::shared_ptr<const sfi::VerifiedProgram> verified,
-                            VerifyProgram(program));
-      if (mode == sfi::ExecMode::kTrusted) {
-        // Every procedure is certified in its own right — a chain is only as
-        // trusted as its least-trusted link, so there is no blanket grant.
-        PARA_ASSIGN_OR_RETURN(
-            nucleus::Certificate cert,
-            certifier->Certify(config_.name + "/" + spec.name, epoch() + 1,
-                               verified->identity(), nucleus::kCertKernelEligible,
-                               /*now=*/epoch() + 1));
-        PARA_RETURN_IF_ERROR(service->ValidateForKernel(cert, verified->identity()));
+      std::shared_ptr<const sfi::VerifiedProgram>& verified =
+          distinct[{spec.name, sfi::VerifiedProgramCache::KeyOf(program, {})}];
+      if (verified == nullptr) {
+        PARA_ASSIGN_OR_RETURN(verified, VerifyProgram(program));
+        if (mode == sfi::ExecMode::kTrusted) {
+          // Every procedure is certified in its own right — a chain is only
+          // as trusted as its least-trusted link, so there is no blanket
+          // grant. Name, version and code fix the certificate, so the one
+          // issued here is the one each instance would have got.
+          PARA_ASSIGN_OR_RETURN(
+              nucleus::Certificate cert,
+              certifier->Certify(config_.name + "/" + spec.name, epoch() + 1,
+                                 verified->identity(), nucleus::kCertKernelEligible,
+                                 /*now=*/epoch() + 1));
+          PARA_RETURN_IF_ERROR(service->ValidateForKernel(cert, verified->identity()));
+        }
       }
       ++ordinal;
       for (size_t s = 0; s < nshards; ++s) {

@@ -408,11 +408,18 @@ class PacketFilter : public obj::Object {
   explicit PacketFilter(FilterConfig config);
 
   Result<std::shared_ptr<const sfi::VerifiedProgram>> VerifyProgram(const sfi::Program& program);
-  // Generates, verifies and (for kTrusted) certifies each procedure spec in
-  // `compiled.chains` ONCE, then instantiates one VM per spec per shard from
-  // the same verified program (ordinals identical across shards). Any
-  // failure fails the whole load — nothing partial is ever installed.
-  // Returns chains indexed [shard][chain].
+  // Generates each procedure spec in `compiled.chains`, then verifies and
+  // (for kTrusted) certifies and validates each distinct (spec name,
+  // program) ONCE per call: rules whose procedures generate the same program
+  // share one VerifiedProgram and one certificate, byte-identical to the one
+  // each would get alone (same "<filter>/<proc>" name, version and digest).
+  // The certifier policy is therefore asked once per distinct (name, code)
+  // rather than once per rule; it sees only (name, code, flags), so it could
+  // never tell instances apart. Every instance still gets its own
+  // ProcInstance — VM memory and persistent state, ordinal, fuel, host
+  // helpers — on every shard (ordinals identical across shards). Any failure
+  // fails the whole load — nothing partial is ever installed. Returns chains
+  // indexed [shard][chain].
   Result<std::vector<std::vector<ProcChain>>> InstantiateChains(
       const CompiledFilter& compiled, sfi::ExecMode mode, nucleus::Certifier* certifier,
       const nucleus::CertificationService* service);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/base/random.h"
 
 namespace para::crypto {
@@ -150,6 +153,70 @@ TEST(BigNumTest, ModExpSmallKnown) {
   EXPECT_EQ(BigNum::ModExp(BigNum(4), BigNum(13), BigNum(497)), BigNum(445));
   EXPECT_EQ(BigNum::ModExp(BigNum(2), BigNum(10), BigNum(10000)), BigNum(1024));
   EXPECT_EQ(BigNum::ModExp(BigNum(7), BigNum(0), BigNum(13)), BigNum(1));
+  EXPECT_EQ(BigNum::ModExp(BigNum(7), BigNum(0), BigNum(1)), BigNum(0));
+}
+
+// Right-to-left square-and-multiply from Mul and Mod alone, reduced even for
+// a zero exponent: the reference ModExp is held to.
+BigNum ReferenceModExp(const BigNum& base, const BigNum& exponent, const BigNum& modulus) {
+  BigNum result = BigNum::Mod(BigNum(1), modulus);
+  BigNum b = BigNum::Mod(base, modulus);
+  for (size_t i = 0; i < exponent.bit_length(); ++i) {
+    if (exponent.Bit(i)) {
+      result = BigNum::Mod(BigNum::Mul(result, b), modulus);
+    }
+    b = BigNum::Mod(BigNum::Mul(b, b), modulus);
+  }
+  return result;
+}
+
+// Odd moduli take the Montgomery path and even ones the plain one; both must
+// agree with the reference at every width from one limb to 2048 bits, at
+// the edges of the limb arithmetic (a top limb of all ones, a low limb of
+// 1, the modulus 1), for bases of zero, below and above the modulus.
+TEST(BigNumTest, ModExpMatchesReference) {
+  para::Random rng(0x40D3C9);
+  constexpr size_t kLimbBits = 32;
+  for (size_t limbs : {1u, 2u, 3u, 8u, 16u, 17u, 33u, 64u}) {
+    std::vector<BigNum> moduli;
+    for (int shape = 0; shape < 3; ++shape) {
+      const size_t low_bits = (limbs - 1) * kLimbBits;
+      BigNum m = BigNum::RandomWithBits(limbs * kLimbBits - rng.NextBelow(kLimbBits), rng);
+      if (shape == 1) {  // top limb 0xFFFFFFFF
+        m = BigNum::Add(BigNum::ShiftLeft(BigNum(0xFFFFFFFFu), low_bits),
+                        BigNum::Mod(m, BigNum::ShiftLeft(BigNum(1), low_bits)));
+      }
+      if (shape == 2) {  // low limb 1 (the modulus 1 itself at one limb)
+        m = BigNum::Add(BigNum::ShiftLeft(BigNum::ShiftRight(m, kLimbBits), kLimbBits),
+                        BigNum(1));
+      }
+      BigNum odd = m.is_odd() ? m : BigNum::Add(m, BigNum(1));
+      moduli.push_back(odd);
+      if (shape != 2) {
+        moduli.push_back(m.is_odd() ? BigNum::Add(m, BigNum(1)) : m);
+      }
+    }
+    for (const BigNum& m : moduli) {
+      ASSERT_FALSE(m.is_zero());
+      std::vector<BigNum> bases = {
+          BigNum(), BigNum::RandomBelow(m, rng),
+          BigNum::RandomWithBits(m.bit_length() + 1 + rng.NextBelow(64), rng)};
+      // Exponents reach 2048 bits up to 4 limbs and shrink with width beyond
+      // that, which keeps the Mul/Mod reference affordable.
+      const size_t max_bits = std::min<size_t>(2048, 8192 / limbs);
+      std::vector<BigNum> exponents = {
+          BigNum(), BigNum(1),
+          BigNum::Sub(BigNum::ShiftLeft(BigNum(1), 1 + rng.NextBelow(max_bits)), BigNum(1)),
+          BigNum::RandomWithBits(1 + rng.NextBelow(max_bits), rng)};
+      for (const BigNum& base : bases) {
+        for (const BigNum& e : exponents) {
+          ASSERT_EQ(BigNum::ModExp(base, e, m), ReferenceModExp(base, e, m))
+              << "base " << base.ToHex() << " exponent " << e.ToHex() << " modulus "
+              << m.ToHex();
+        }
+      }
+    }
+  }
 }
 
 TEST(BigNumTest, ModExpFermat) {

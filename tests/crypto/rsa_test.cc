@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/base/hexdump.h"
 #include "src/base/random.h"
 
 namespace para::crypto {
@@ -93,6 +94,42 @@ TEST(RsaKeygenTest, DistinctSeedsDistinctKeys) {
   RsaKeyPair a = GenerateKeyPair(256, rng1);
   RsaKeyPair b = GenerateKeyPair(256, rng2);
   EXPECT_NE(a.public_key.modulus, b.public_key.modulus);
+}
+
+// Keys and signatures are pure functions of the seed and the digest. These
+// values come from a square-and-multiply ModExp with a division per step,
+// independent of the Montgomery one; the seeds are the end-to-end bench's.
+TEST(RsaKeygenTest, FixedSeedsGiveKnownKeysAndSignatures) {
+  para::Random authority_rng(0xA07704177);
+  para::Random delegate_rng(0x5EED);
+  RsaKeyPair authority = GenerateKeyPair(512, authority_rng);
+  RsaKeyPair delegate = GenerateKeyPair(512, delegate_rng);
+  EXPECT_EQ(authority.public_key.modulus.ToHex(),
+            "8f4fe063d5b78a0c0a8d7bcf6ec6b6cadee3c9f787f52550a62e6cde4f83b419"
+            "be85b231c6002df91fe7cd57c66fb30f6bd3bd03ca51e2bc50be48ba41adc609");
+  EXPECT_EQ(delegate.public_key.modulus.ToHex(),
+            "85e4b35f6fd9ce24b68553c26d870f5ee5f46e6a43bee5b321a75ad2761c8776"
+            "c2daa250ef00cb55d8e717b169adf59d125071d5b150b0fdfeae1dd84488fea5");
+  Digest digest = Sha256::HashString("paramecium");
+  EXPECT_EQ(para::HexEncode(Sign(authority.private_key, digest)),
+            "4a907856430ecb0eb1d177d0a37e7c1621abe7a4909849bc525cf57610f5d083"
+            "ba1285a700676e3dda83f2f5846aaa308e893cb202f58c994be60ed9c0963945");
+  EXPECT_EQ(para::HexEncode(Sign(delegate.private_key, digest)),
+            "78bc987c73d790446d89d247fef1df811fd5b4b509a554cd78fa48f7d2943b00"
+            "4eabbdbfdf7eba9173d84b0ff4a2e90c44451ac0b5de80eda9654b1252867244");
+}
+
+TEST(RsaKeygenTest, ModulusTooShortForPaddingIsRejected) {
+  // 32 bytes cannot hold the 39-byte padded digest. Verify sees keys from
+  // registered grants and signatures from outside, so it must refuse, not
+  // abort.
+  para::Random rng(0x5407);
+  RsaKeyPair keys = GenerateKeyPair(256, rng);
+  ASSERT_EQ(keys.public_key.modulus_bytes(), 32u);
+  std::vector<uint8_t> signature(32, 0x01);  // below any 256-bit modulus
+  auto status = Verify(keys.public_key, Sha256::HashString("x"), signature);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), para::ErrorCode::kCertificateInvalid);
 }
 
 TEST(RsaKeygenTest, SmallKeysWork) {

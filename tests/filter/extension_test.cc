@@ -1,7 +1,8 @@
 // Tests for rule-procedure extensions (extension.h): registry behaviour and
 // parameter validation, the widened verdict-event detail encoding, per-rule
 // procedure state isolation, fail-closed fuel exhaustion, chain behaviour
-// across hot reloads, and the sandboxed-vs-trusted differential for every
+// across hot reloads, one certificate per distinct procedure program per
+// certified load, and the sandboxed-vs-trusted differential for every
 // built-in — a certified procedure must be bit-for-bit equivalent to its
 // sandboxed self, token buckets and host randomness included.
 #include <gtest/gtest.h>
@@ -303,6 +304,87 @@ TEST(RuleProcTest, KeepaliveFlowWithRetiredChainIdFailsSafe) {
   EXPECT_EQ(kept.chain, 1u) << "the cached word still names the retired chain";
   EXPECT_EQ((*filter)->stats().flow_hits, 1u);
   EXPECT_EQ((*filter)->stats().proc_invocations, 1u) << "no procedure may have run";
+}
+
+// --- certification: one certificate per distinct program --------------------
+
+TEST(RuleProcCertTest, CertifiesEachDistinctProgramOnce) {
+  // 12 rules holding 12 procedure instances of 3 distinct programs. With the
+  // classifier that is 4 programs to certify and validate, not 13.
+  CertEnv env;
+  int policy_calls = 0;
+  bool refuse_log8 = false;
+  auto log8 = BuiltIns().Generate(RuleProcSpec{"log", {{"every", 8}}});
+  ASSERT_TRUE(log8.ok());
+  nucleus::Certifier counting(
+      "filter-compiler", env.signer_keys, env.grant,
+      [&](const std::string&, std::span<const uint8_t> code, uint32_t) {
+        ++policy_calls;
+        if (refuse_log8 && std::ranges::equal(code, log8->identity())) {
+          return Status(ErrorCode::kPermissionDenied, "not this one");
+        }
+        return OkStatus();
+      });
+
+  std::string text;
+  for (int i = 0; i < 6; ++i) {
+    text += "pass dport " + std::to_string(80 + i) + " proc count\n";
+  }
+  for (int i = 0; i < 4; ++i) {
+    text += "pass dport " + std::to_string(90 + i) + " proc log(every=64)\n";
+  }
+  for (int i = 0; i < 2; ++i) {
+    text += "pass dport " + std::to_string(100 + i) + " proc log(every=8)\n";
+  }
+  text += "default drop\n";
+  auto rules = ParseRules(text);
+  ASSERT_TRUE(rules.ok()) << rules.status().message();
+
+  FilterConfig config;
+  config.track_flows = false;
+  config.shards = 1;  // the test reads shard 0's chain state directly
+  auto filter = PacketFilter::Create(config);
+  ASSERT_TRUE(filter.ok());
+  ASSERT_TRUE((*filter)->LoadCertified(*rules, counting, env.service).ok());
+  EXPECT_EQ(policy_calls, 4);
+  EXPECT_EQ(counting.issued(), 4u);
+  EXPECT_EQ(env.service.stats().validations, 4u);
+
+  // Instances of one program share its artifact; distinct programs do not.
+  const std::vector<PacketFilter::ProcChain>& chains = (*filter)->chains();
+  ASSERT_EQ(chains.size(), 12u);
+  for (size_t c : {1u, 2u, 3u, 4u, 5u}) {
+    EXPECT_EQ(chains[c][0]->program, chains[0][0]->program) << c;
+  }
+  for (size_t c : {7u, 8u, 9u}) {
+    EXPECT_EQ(chains[c][0]->program, chains[6][0]->program) << c;
+  }
+  EXPECT_EQ(chains[11][0]->program, chains[10][0]->program);
+  EXPECT_NE(chains[6][0]->program, chains[0][0]->program);
+  EXPECT_NE(chains[10][0]->program, chains[6][0]->program);
+
+  // Each rule still owns its instance: separate counters, separate ordinals.
+  for (int i = 0; i < 3; ++i) {
+    (void)(*filter)->Evaluate(WebPacket(4000, 80), FilterDirection::kIngress);
+  }
+  (void)(*filter)->Evaluate(WebPacket(4000, 81), FilterDirection::kIngress);
+  EXPECT_EQ(chains[0][0]->invocations, 3u);
+  EXPECT_EQ(chains[1][0]->invocations, 1u);
+  EXPECT_EQ(chains[0][0]->ordinal, 1u);
+  EXPECT_EQ(chains[11][0]->ordinal, 12u);
+
+  // Refusing one distinct program refuses the load; the installed
+  // generation keeps serving.
+  const uint32_t epoch = (*filter)->epoch();
+  const PacketFilter::ProcInstance* installed = chains[0][0].get();
+  refuse_log8 = true;
+  EXPECT_FALSE((*filter)->LoadCertified(*rules, counting, env.service).ok());
+  EXPECT_EQ((*filter)->epoch(), epoch);
+  ASSERT_EQ((*filter)->chains().size(), 12u);
+  EXPECT_EQ((*filter)->chains()[0][0].get(), installed);
+  EXPECT_EQ((*filter)->Evaluate(WebPacket(4000, 80), FilterDirection::kIngress).verdict,
+            FilterVerdict::kPass);
+  EXPECT_EQ(installed->invocations, 4u);
 }
 
 // --- sandboxed vs trusted differential, per built-in -------------------------

@@ -246,6 +246,30 @@ TEST_F(CertTest, PolicyDecidesPerComponent) {
   EXPECT_FALSE(compiler.Certify("bad", 1, Code("handwritten"), kCertKernelEligible, 1).ok());
 }
 
+TEST_F(CertTest, ShortDelegateKeyRejectsCertificatesInsteadOfAborting) {
+  // The authority may grant a key too short to hold a padded digest. A
+  // certificate naming it is outside input: it must be rejected, never
+  // allowed to take the nucleus down.
+  para::Random rng(0x5407);
+  crypto::RsaKeyPair short_keys = crypto::GenerateKeyPair(256, rng);
+  CertificationService service(authority_->public_key());
+  DelegationGrant grant = authority_->Grant("short", short_keys.public_key, kCertKernelEligible);
+  ASSERT_TRUE(service.RegisterGrant(grant).ok());
+
+  auto code = Code("body");
+  Certificate cert;
+  cert.component_name = "comp";
+  cert.version = 1;
+  cert.code_digest = ComponentDigest(cert.component_name, cert.version, code);
+  cert.signer = short_keys.public_key.Fingerprint();
+  cert.flags = kCertKernelEligible;
+  cert.signature.assign(short_keys.public_key.modulus_bytes(), 0x01);  // below the modulus
+  auto status = service.Validate(cert, code);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), ErrorCode::kCertificateInvalid);
+  EXPECT_EQ(service.stats().rejected_signature, 1u);
+}
+
 TEST_F(CertTest, DuplicateGrantRejected) {
   CertificationService service(authority_->public_key());
   auto grant = authority_->Grant("x", prover_keys_->public_key, 0);
