@@ -47,27 +47,24 @@ void EthEncap(PacketBuffer& packet, const EthHeader& header) {
   PutBE16(hdr.data() + 12, header.ether_type);
   // FCS over header+payload, appended as a 4-byte trailer.
   uint32_t fcs = Crc32(packet.data());
-  uint8_t trailer[4];
+  uint8_t trailer[EthHeader::kFcsSize];
   PutBE32(trailer, fcs);
   packet.Append(trailer);
 }
 
-Result<EthHeader> EthDecap(PacketBuffer& packet) {
-  if (packet.size() < EthHeader::kWireSize + 4) {
+Result<EthHeader> EthDecap(std::span<const uint8_t>& frame) {
+  if (frame.size() < EthHeader::kWireSize + EthHeader::kFcsSize) {
     return Status(ErrorCode::kInvalidArgument, "frame too short");
   }
-  auto data = packet.data();
-  uint32_t fcs = GetBE32(data.data() + data.size() - 4);
-  uint32_t actual = Crc32(data.subspan(0, data.size() - 4));
-  if (fcs != actual) {
+  const size_t covered = frame.size() - EthHeader::kFcsSize;
+  if (GetBE32(frame.data() + covered) != Crc32(frame.first(covered))) {
     return Status(ErrorCode::kFailedPrecondition, "FCS mismatch");
   }
   EthHeader header;
-  header.dst = GetMac(data.data());
-  header.src = GetMac(data.data() + 6);
-  header.ether_type = GetBE16(data.data() + 12);
-  packet.TrimTail(4);
-  packet.Consume(EthHeader::kWireSize);
+  header.dst = GetMac(frame.data());
+  header.src = GetMac(frame.data() + 6);
+  header.ether_type = GetBE16(frame.data() + 12);
+  frame = frame.subspan(EthHeader::kWireSize, covered - EthHeader::kWireSize);
   return header;
 }
 
@@ -101,30 +98,30 @@ void IpEncap(PacketBuffer& packet, IpHeader header) {
   PutBE16(hdr.data() + 6, checksum);
 }
 
-Result<IpHeader> IpDecap(PacketBuffer& packet) {
+Result<IpHeader> IpDecap(std::span<const uint8_t>& packet) {
   if (packet.size() < IpHeader::kWireSize) {
     return Status(ErrorCode::kInvalidArgument, "ip packet too short");
   }
-  auto data = packet.data();
+  const uint8_t* data = packet.data();
   if (data[0] != 4) {
     return Status(ErrorCode::kInvalidArgument, "bad ip version");
   }
-  if (InternetChecksum(data.subspan(0, IpHeader::kWireSize)) != 0) {
+  if (InternetChecksum(packet.first(IpHeader::kWireSize)) != 0) {
     return Status(ErrorCode::kFailedPrecondition, "ip checksum mismatch");
   }
   IpHeader header;
   header.ttl = data[1];
   header.proto = data[2];
-  header.total_length = GetBE16(data.data() + 4);
-  header.src = GetBE32(data.data() + 8);
-  header.dst = GetBE32(data.data() + 12);
+  header.total_length = GetBE16(data + 4);
+  header.src = GetBE32(data + 8);
+  header.dst = GetBE32(data + 12);
   if (header.total_length != packet.size()) {
     return Status(ErrorCode::kInvalidArgument, "ip length mismatch");
   }
   if (header.ttl == 0) {
     return Status(ErrorCode::kFailedPrecondition, "ttl expired");
   }
-  packet.Consume(IpHeader::kWireSize);
+  packet = packet.subspan(IpHeader::kWireSize);
   return header;
 }
 
@@ -139,22 +136,21 @@ void UdpEncap(PacketBuffer& packet, UdpHeader header) {
   PutBE16(hdr.data() + 6, checksum);
 }
 
-Result<UdpHeader> UdpDecap(PacketBuffer& packet) {
-  if (packet.size() < UdpHeader::kWireSize) {
+Result<UdpHeader> UdpDecap(std::span<const uint8_t>& datagram) {
+  if (datagram.size() < UdpHeader::kWireSize) {
     return Status(ErrorCode::kInvalidArgument, "udp datagram too short");
   }
-  auto data = packet.data();
-  if (InternetChecksum(data) != 0) {
+  if (InternetChecksum(datagram) != 0) {
     return Status(ErrorCode::kFailedPrecondition, "udp checksum mismatch");
   }
   UdpHeader header;
-  header.src_port = GetBE16(data.data());
-  header.dst_port = GetBE16(data.data() + 2);
-  header.length = GetBE16(data.data() + 4);
-  if (header.length != packet.size()) {
+  header.src_port = GetBE16(datagram.data());
+  header.dst_port = GetBE16(datagram.data() + 2);
+  header.length = GetBE16(datagram.data() + 4);
+  if (header.length != datagram.size()) {
     return Status(ErrorCode::kInvalidArgument, "udp length mismatch");
   }
-  packet.Consume(UdpHeader::kWireSize);
+  datagram = datagram.subspan(UdpHeader::kWireSize);
   return header;
 }
 

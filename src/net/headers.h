@@ -5,6 +5,7 @@
 #define PARAMECIUM_SRC_NET_HEADERS_H_
 
 #include <cstdint>
+#include <span>
 
 #include "src/base/status.h"
 #include "src/net/pktbuf.h"
@@ -28,14 +29,16 @@ struct EthHeader {
   uint16_t ether_type = kEtherTypeRaw;
 
   static constexpr size_t kWireSize = 6 + 6 + 2;
+  static constexpr size_t kFcsSize = 4;  // CRC-32 trailer
 };
 
 // Prepends the header and appends a CRC-32 frame check sequence.
 void EthEncap(PacketBuffer& packet, const EthHeader& header);
 
-// Verifies + strips FCS and header. kInvalidArgument on malformed frames,
+// Verifies the FCS and parses the header; on success narrows `frame` to the
+// bytes between header and FCS. kInvalidArgument on malformed frames,
 // kFailedPrecondition on FCS mismatch.
-Result<EthHeader> EthDecap(PacketBuffer& packet);
+Result<EthHeader> EthDecap(std::span<const uint8_t>& frame);
 
 // --- IPv4-lite ---------------------------------------------------------------
 
@@ -54,7 +57,9 @@ struct IpHeader {
 };
 
 void IpEncap(PacketBuffer& packet, IpHeader header);
-Result<IpHeader> IpDecap(PacketBuffer& packet);
+// Checks version, checksum, total_length == packet.size() and TTL; on
+// success narrows `packet` past the header.
+Result<IpHeader> IpDecap(std::span<const uint8_t>& packet);
 
 // RFC1071-style ones-complement checksum (used by the IP-lite header).
 uint16_t InternetChecksum(std::span<const uint8_t> data);
@@ -70,7 +75,9 @@ struct UdpHeader {
 };
 
 void UdpEncap(PacketBuffer& packet, UdpHeader header);
-Result<UdpHeader> UdpDecap(PacketBuffer& packet);
+// Checks checksum and length == datagram.size(); on success narrows
+// `datagram` to the payload.
+Result<UdpHeader> UdpDecap(std::span<const uint8_t>& datagram);
 
 }  // namespace para::net
 

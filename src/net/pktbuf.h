@@ -1,11 +1,11 @@
-// Packet buffer with headroom, so each protocol layer prepends its header
-// without copying the payload — the usual kernel mbuf/skb trick, sized for
-// the simulated link's 2 KiB frames.
+// Transmit packet buffer with headroom, so each protocol layer prepends its
+// header without copying the payload — the usual kernel mbuf/skb trick. The
+// receive path needs no buffer: decap parses frames where they lie.
 #ifndef PARAMECIUM_SRC_NET_PKTBUF_H_
 #define PARAMECIUM_SRC_NET_PKTBUF_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <span>
 #include <vector>
 
@@ -25,13 +25,6 @@ class PacketBuffer {
     PARA_CHECK(headroom <= capacity);
   }
 
-  // Wraps received bytes (no headroom needed on the RX path).
-  static PacketBuffer FromBytes(std::span<const uint8_t> bytes) {
-    PacketBuffer buf(0, bytes.size());
-    buf.Append(bytes);
-    return buf;
-  }
-
   size_t size() const { return end_ - begin_; }
   size_t headroom() const { return begin_; }
   bool empty() const { return begin_ == end_; }
@@ -41,10 +34,11 @@ class PacketBuffer {
     return std::span<const uint8_t>(storage_.data() + begin_, size());
   }
 
-  // Appends payload bytes at the tail.
+  // Appends payload bytes at the tail. (std::copy, not memcpy: an empty
+  // span's data() may be null, which memcpy must not be passed.)
   void Append(std::span<const uint8_t> bytes) {
     PARA_CHECK(end_ + bytes.size() <= storage_.size());
-    std::memcpy(storage_.data() + end_, bytes.data(), bytes.size());
+    std::copy(bytes.begin(), bytes.end(), storage_.data() + end_);
     end_ += bytes.size();
   }
 
@@ -53,18 +47,6 @@ class PacketBuffer {
     PARA_CHECK(begin_ >= bytes);
     begin_ -= bytes;
     return std::span<uint8_t>(storage_.data() + begin_, bytes);
-  }
-
-  // Drops `bytes` from the front (consuming a parsed header).
-  void Consume(size_t bytes) {
-    PARA_CHECK(size() >= bytes);
-    begin_ += bytes;
-  }
-
-  // Trims the tail (e.g. removing a frame check sequence).
-  void TrimTail(size_t bytes) {
-    PARA_CHECK(size() >= bytes);
-    end_ -= bytes;
   }
 
  private:

@@ -1,5 +1,6 @@
 #include "src/net/stack.h"
 
+#include <array>
 #include <cstdio>
 #include <string>
 
@@ -41,9 +42,18 @@ Status ProtocolStack::UnbindPort(Port port) {
                                   : Status(ErrorCode::kNotFound, "port not bound");
 }
 
-bool ProtocolStack::ApplyFilter(const FilterHook& hook, const PacketView& view,
-                                FilterDirection dir, uint8_t* ttl_override) {
-  return ApplyDecision(hook(view, dir), ttl_override);
+void ProtocolStack::SetIngressFilter(FilterHook hook) {
+  if (hook == nullptr) {
+    ingress_filter_ = nullptr;
+    return;
+  }
+  ingress_filter_ = [hook = std::move(hook)](std::span<const PacketView> views,
+                                             FilterDirection direction,
+                                             std::span<FilterDecision> decisions) {
+    for (size_t i = 0; i < views.size(); ++i) {
+      decisions[i] = hook(views[i], direction);
+    }
+  };
 }
 
 bool ProtocolStack::ApplyDecision(const FilterDecision& decision, uint8_t* ttl_override) {
@@ -68,6 +78,9 @@ bool ProtocolStack::ApplyDecision(const FilterDecision& decision, uint8_t* ttl_o
 
 Status ProtocolStack::SendDatagram(IpAddr dst, Port src_port, Port dst_port,
                                    std::span<const uint8_t> payload) {
+  if (payload.size() > kMaxPayload) {
+    return Status(ErrorCode::kOutOfRange, "payload exceeds the IP length field");
+  }
   auto neighbor = neighbors_.find(dst);
   if (neighbor == neighbors_.end()) {
     return Status(ErrorCode::kUnavailable, "no route to host");
@@ -82,11 +95,13 @@ Status ProtocolStack::SendDatagram(IpAddr dst, Port src_port, Port dst_port,
     view.proto = kIpProtoUdpLite;
     view.ttl = ttl;
     view.payload = payload;
-    if (!ApplyFilter(egress_filter_, view, FilterDirection::kEgress, &ttl)) {
+    if (!ApplyDecision(egress_filter_(view, FilterDirection::kEgress), &ttl)) {
       return Status(ErrorCode::kPermissionDenied, "blocked by egress filter");
     }
   }
-  PacketBuffer packet;
+  // Sized to the frame: headroom for the three headers, tailroom for the FCS.
+  constexpr size_t kHeaders = EthHeader::kWireSize + IpHeader::kWireSize + UdpHeader::kWireSize;
+  PacketBuffer packet(kHeaders, kHeaders + payload.size() + EthHeader::kFcsSize);
   packet.Append(payload);
   UdpEncap(packet, UdpHeader{src_port, dst_port, 0});
   IpEncap(packet, IpHeader{ttl, kIpProtoUdpLite, config_.ip, dst, 0});
@@ -96,12 +111,9 @@ Status ProtocolStack::SendDatagram(IpAddr dst, Port src_port, Port dst_port,
   return sender_(packet.data());
 }
 
-bool ProtocolStack::DecapIngress(std::span<const uint8_t> frame, PacketBuffer* packet,
-                                 PacketView* view) {
+bool ProtocolStack::DecapIngress(std::span<const uint8_t> frame, PacketView* view) {
   ++stats_.frames_in;
-  *packet = PacketBuffer::FromBytes(frame);
-
-  auto eth = EthDecap(*packet);
+  auto eth = EthDecap(frame);
   if (!eth.ok()) {
     ++stats_.drops_bad_frame;
     return false;
@@ -115,7 +127,7 @@ bool ProtocolStack::DecapIngress(std::span<const uint8_t> frame, PacketBuffer* p
     return false;
   }
 
-  auto ip = IpDecap(*packet);
+  auto ip = IpDecap(frame);
   if (!ip.ok()) {
     ++stats_.drops_bad_frame;
     return false;
@@ -129,7 +141,7 @@ bool ProtocolStack::DecapIngress(std::span<const uint8_t> frame, PacketBuffer* p
     return false;
   }
 
-  auto udp = UdpDecap(*packet);
+  auto udp = UdpDecap(frame);
   if (!udp.ok()) {
     ++stats_.drops_bad_frame;
     return false;
@@ -141,7 +153,7 @@ bool ProtocolStack::DecapIngress(std::span<const uint8_t> frame, PacketBuffer* p
   view->dst_port = udp->dst_port;
   view->proto = ip->proto;
   view->ttl = ip->ttl;
-  view->payload = packet->data();
+  view->payload = frame;
   return true;
 }
 
@@ -159,59 +171,32 @@ void ProtocolStack::Deliver(const PacketView& view) {
   socket->second(datagram);
 }
 
-void ProtocolStack::OnFrame(std::span<const uint8_t> frame) {
-  PacketBuffer packet;
-  PacketView view;
-  if (!DecapIngress(frame, &packet, &view)) {
-    return;
-  }
-  // Ingress filter verdict on a zero-copy view of the decapsulated packet:
-  // a dropped or rejected datagram costs no allocation.
-  if (ingress_filter_ != nullptr &&
-      !ApplyFilter(ingress_filter_, view, FilterDirection::kIngress)) {
-    return;
-  }
-  Deliver(view);
-}
-
 void ProtocolStack::OnFrameBurst(std::span<const std::span<const uint8_t>> frames) {
-  if (ingress_batch_filter_ == nullptr) {
-    // No batched hook: identical semantics, one frame at a time (through the
-    // per-packet hook, if any).
-    for (std::span<const uint8_t> frame : frames) {
-      OnFrame(frame);
+  std::array<PacketView, kIngressChunk> views;
+  std::array<FilterDecision, kIngressChunk> decisions;
+  while (!frames.empty()) {
+    size_t n = 0;
+    size_t parsed = 0;
+    for (; parsed < frames.size() && n < kIngressChunk; ++parsed) {
+      n += DecapIngress(frames[parsed], &views[n]) ? 1 : 0;
     }
-    return;
-  }
-  // Decap pass first: the surviving views alias their PacketBuffers, which
-  // must outlive the batch verdict (PacketBuffer is vector-backed, so the
-  // payload spans survive the moves into `packets`).
-  std::vector<PacketBuffer> packets;
-  std::vector<PacketView> views;
-  packets.reserve(frames.size());
-  views.reserve(frames.size());
-  for (std::span<const uint8_t> frame : frames) {
-    PacketBuffer packet;
-    PacketView view;
-    if (!DecapIngress(frame, &packet, &view)) {
+    frames = frames.subspan(parsed);
+    const std::span<const PacketView> chunk(views.data(), n);
+    if (chunk.empty()) {
       continue;
     }
-    packets.push_back(std::move(packet));
-    views.push_back(view);
-  }
-  if (views.empty()) {
-    return;
-  }
-  // One filter entry for the whole burst; per-packet decisions come back in
-  // order, and delivery replays them in order — byte-identical outcomes to
-  // the per-frame path.
-  std::vector<FilterDecision> decisions(views.size());
-  ingress_batch_filter_(views, FilterDirection::kIngress, decisions);
-  for (size_t i = 0; i < views.size(); ++i) {
-    if (!ApplyDecision(decisions[i], /*ttl_override=*/nullptr)) {
-      continue;
+    // One hook call decides the chunk; delivery replays its decisions in
+    // order. The slot is read once: a handler that clears the hook mid-chunk
+    // must not turn the chunk's drop decisions into deliveries.
+    const bool filtered = ingress_filter_ != nullptr;
+    if (filtered) {
+      ingress_filter_(chunk, FilterDirection::kIngress, decisions);
     }
-    Deliver(views[i]);
+    for (size_t i = 0; i < chunk.size(); ++i) {
+      if (!filtered || ApplyDecision(decisions[i], /*ttl_override=*/nullptr)) {
+        Deliver(chunk[i]);
+      }
+    }
   }
 }
 

@@ -93,50 +93,50 @@ class ProtocolStack {
   Status UnbindPort(Port port);
 
   // Sends a UDP-lite datagram. Blocked by the egress filter =>
-  // kPermissionDenied.
+  // kPermissionDenied; a payload over kMaxPayload (65511 B, what the 16-bit
+  // IP length field can carry) => kOutOfRange. The frame is the payload plus
+  // 42 B of headers and FCS; one too large for the device fails at the sender.
+  static constexpr size_t kMaxPayload = 0xFFFF - IpHeader::kWireSize - UdpHeader::kWireSize;
   Status SendDatagram(IpAddr dst, Port src_port, Port dst_port,
                       std::span<const uint8_t> payload);
 
-  // Driver-facing input: a raw frame arrived on the wire.
-  void OnFrame(std::span<const uint8_t> frame);
+  // Driver-facing input: a raw frame arrived on the wire. A burst of one.
+  void OnFrame(std::span<const uint8_t> frame) { OnFrameBurst({&frame, 1}); }
 
-  // Driver-facing input for a burst of frames (one RX-queue poll). With a
-  // batch ingress filter installed, all frames are decapsulated first and
-  // the filter decides the surviving packets in ONE EvaluateBatch-style
-  // call — amortizing filter entry costs across the burst — with verdicts,
-  // counters, and delivery order identical to calling OnFrame per frame.
-  // Without one it degrades to exactly that loop.
+  // Driver-facing input for a burst of frames (one RX-queue poll): the one
+  // receive body. Frames are parsed where they lie — each surviving packet's
+  // PacketView aliases its frame, and nothing is copied or allocated before
+  // a passed packet's Datagram is built — so the caller's frames must not
+  // change during the call. Surviving packets are decided kIngressChunk at
+  // a time in one ingress-hook call, and every verdict of a chunk is decided
+  // before its first datagram is delivered (so a burst of up to kIngressChunk
+  // frames is decided whole, whichever setter installed the hook). Delivery
+  // follows frame order, and the counters end as if each frame had come
+  // through OnFrame alone.
+  static constexpr size_t kIngressChunk = 64;  // = filter::kMaxFilterBatch
   void OnFrameBurst(std::span<const std::span<const uint8_t>> frames);
 
-  // Filter hook points. The ingress hook runs after UDP decap with a
-  // zero-copy PacketView aliasing the frame — a dropped packet never
-  // materializes a Datagram, so the verdict costs no allocation. The egress
-  // hook runs before encapsulation. Pass nullptr to remove a hook.
-  void SetIngressFilter(FilterHook hook) { ingress_filter_ = std::move(hook); }
+  // The ingress hook point: one slot, consulted after UDP decap with the
+  // zero-copy views above, so a dropped packet costs no allocation. Both
+  // setters fill that slot (a per-packet hook is wrapped to the batch shape)
+  // and whichever runs last owns it: no frame reaches a socket without
+  // passing the installed hook. nullptr to either clears ingress filtering.
+  void SetIngressFilter(FilterHook hook);
+  void SetIngressBatchFilter(FilterBatchHook hook) { ingress_filter_ = std::move(hook); }
+  // The egress hook runs before encapsulation; nullptr removes it.
   void SetEgressFilter(FilterHook hook) { egress_filter_ = std::move(hook); }
-  // Batched ingress hook, consulted by OnFrameBurst (OnFrame keeps using the
-  // per-packet hook). Install both from the same filter to keep single-frame
-  // and burst ingress consistent.
-  void SetIngressBatchFilter(FilterBatchHook hook) {
-    ingress_batch_filter_ = std::move(hook);
-  }
 
   const StackStats& stats() const { return stats_; }
   const StackConfig& config() const { return config_; }
 
  private:
-  // Applies a filter hook to `view`; returns true when the packet may
-  // proceed, updating the per-verdict counters either way. A non-null
-  // `ttl_override` receives the decision's TTL rewrite, if any (egress only
-  // — ingress has no header left to rewrite).
-  bool ApplyFilter(const FilterHook& hook, const PacketView& view, FilterDirection dir,
-                   uint8_t* ttl_override = nullptr);
-  // The counting half of ApplyFilter, shared with the batch path (which gets
-  // its decisions from one hook call for the whole burst).
+  // Counts `decision` and returns true when the packet may proceed. A
+  // non-null `ttl_override` receives the decision's TTL rewrite, if any
+  // (egress only — ingress has no header left to rewrite).
   bool ApplyDecision(const FilterDecision& decision, uint8_t* ttl_override);
   // Eth/IP/UDP ingress decapsulation with the drop counters; on success
-  // `packet` holds the payload and `view` aliases it (header fields filled).
-  bool DecapIngress(std::span<const uint8_t> frame, PacketBuffer* packet, PacketView* view);
+  // `view` holds the header fields and a payload span aliasing `frame`.
+  bool DecapIngress(std::span<const uint8_t> frame, PacketView* view);
   // Socket lookup + datagram materialization for a packet the filter passed.
   void Deliver(const PacketView& view);
 
@@ -144,9 +144,8 @@ class ProtocolStack {
   FrameSender sender_;
   std::map<IpAddr, MacAddr> neighbors_;
   std::map<Port, DatagramHandler> sockets_;
-  FilterHook ingress_filter_;
+  FilterBatchHook ingress_filter_;
   FilterHook egress_filter_;
-  FilterBatchHook ingress_batch_filter_;
   StackStats stats_;
   // Aliases onto stats_ — declared last so they unregister first. The names
   // are "net.stack.<host>.<field>" (per-instance, so two stacks in one test

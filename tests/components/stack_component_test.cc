@@ -141,6 +141,30 @@ TEST_F(StackComponentTest, BidirectionalUserStacks) {
   EXPECT_EQ(RoundTrip(s2->get(), s1->get(), 11, "other way"), "other way");
 }
 
+TEST_F(StackComponentTest, OversizedSendFailsAndLargeFramesStillFlow) {
+  auto* kernel = nucleus_->kernel_context();
+  auto tx = StackComponent::Create(Deps(), kernel, "/shared/net0",
+                                   net::StackConfig{0xAAAA, 0x0A000001});
+  auto rx = StackComponent::Create(Deps(), kernel, "/shared/net1",
+                                   net::StackConfig{0xBBBB, 0x0A000002});
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE(rx.ok());
+  (*tx)->stack().AddNeighbor(0x0A000002, 0xBBBB);
+
+  // Send accepts up to a page of payload; a page-sized datagram's frame is
+  // 42 bytes larger than the staging page, so the send fails cleanly.
+  auto buf = nucleus_->vmem().AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  ASSERT_TRUE(buf.ok());
+  auto iface = (*tx)->GetInterface(StackType()->name());
+  ASSERT_TRUE(iface.ok());
+  const uint64_t ports = (uint64_t{9999} << 16) | 80;
+  EXPECT_EQ((*iface)->Invoke(0, 0x0A000002, ports, *buf, nucleus::kPageSize), ~uint64_t{0});
+
+  // A 2000-byte datagram (a 2042-byte frame) fits the device and arrives.
+  const std::string large(2000, 'L');
+  EXPECT_EQ(RoundTrip(tx->get(), rx->get(), 80, large), large);
+}
+
 TEST_F(StackComponentTest, RecvOnEmptyPortReturnsZero) {
   auto stack = StackComponent::Create(Deps(), nucleus_->kernel_context(), "/shared/net0",
                                       net::StackConfig{0xAAAA, 0x0A000001});

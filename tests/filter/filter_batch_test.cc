@@ -338,6 +338,60 @@ TEST(StackBurstTest, BurstWithoutBatchHookDegradesToPerFrameLoop) {
   EXPECT_EQ((*filter)->stats().evaluated, frames.size());
 }
 
+// The stack has one ingress slot that both setters fill, so a batch hook
+// also filters OnFrame, and whichever setter ran last owns the slot.
+TEST(StackBurstTest, OneIngressSlotFiltersOnFrameAndLastSetterWins) {
+  FilterConfig config;
+  config.shards = 1;
+  auto drop_filter = PacketFilter::Create(config);
+  auto pass_filter = PacketFilter::Create(config);
+  ASSERT_TRUE(drop_filter.ok());
+  ASSERT_TRUE(pass_filter.ok());
+  auto drop_set = ParseRules("default drop\n");
+  auto pass_set = ParseRules("default pass\n");
+  ASSERT_TRUE(drop_set.ok());
+  ASSERT_TRUE(pass_set.ok());
+  ASSERT_TRUE((*drop_filter)->Load(*drop_set).ok());
+  ASSERT_TRUE((*pass_filter)->Load(*pass_set).ok());
+  PacketFilter& drop = **drop_filter;
+  PacketFilter& pass = **pass_filter;
+
+  uint64_t delivered = 0;
+  net::ProtocolStack stack(net::StackConfig{0xB0B, 0x0A000002},
+                           [](std::span<const uint8_t>) { return OkStatus(); });
+  ASSERT_TRUE(stack.BindPort(53, [&](const net::Datagram&) { ++delivered; }).ok());
+  const std::vector<uint8_t> frame = BuildFrame(0x0A000001, 0x0A000002, 1000, 53, "ping");
+  const std::span<const uint8_t> burst[] = {frame, frame};
+
+  stack.SetIngressBatchFilter(drop.BatchHook());  // batch hook only
+  stack.OnFrame(frame);
+  EXPECT_EQ(delivered, 0u);
+  EXPECT_EQ(drop.stats().evaluated, 1u);
+  EXPECT_EQ(stack.stats().filter_drop, 1u);
+
+  stack.SetIngressFilter(pass.Hook());  // replaces the batch hook
+  stack.OnFrameBurst(burst);
+  EXPECT_EQ(delivered, 2u);
+  EXPECT_EQ(pass.stats().evaluated, 2u);
+  EXPECT_EQ(drop.stats().evaluated, 1u);
+
+  stack.SetIngressBatchFilter(drop.BatchHook());  // and back
+  stack.OnFrame(frame);
+  EXPECT_EQ(delivered, 2u);
+  EXPECT_EQ(drop.stats().evaluated, 2u);
+
+  stack.SetIngressFilter(nullptr);  // either setter's nullptr clears the slot
+  stack.OnFrame(frame);
+  stack.SetIngressFilter(pass.Hook());
+  stack.SetIngressBatchFilter(nullptr);
+  stack.OnFrame(frame);
+  EXPECT_EQ(delivered, 4u);
+  EXPECT_EQ(pass.stats().evaluated, 2u);
+  EXPECT_EQ(drop.stats().evaluated, 2u);
+  EXPECT_EQ(stack.stats().filter_pass, 2u);
+  EXPECT_EQ(stack.stats().filter_drop, 2u);
+}
+
 // --- reload under load (epoch-based reclamation acceptance) -----------------
 
 TEST(ReloadUnderLoadTest, EstablishedFlowsSurviveHotReloadsAcrossShards) {

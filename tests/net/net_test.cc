@@ -2,6 +2,7 @@
 // stack over an in-memory frame pipe.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <deque>
 #include <string>
 #include <vector>
@@ -21,16 +22,15 @@ std::string AsString(std::span<const uint8_t> data) {
   return std::string(data.begin(), data.end());
 }
 
-TEST(PacketBufferTest, AppendConsumeTrim) {
+TEST(PacketBufferTest, AppendFillsTail) {
   PacketBuffer buf(16, 128);
   EXPECT_TRUE(buf.empty());
   EXPECT_EQ(buf.headroom(), 16u);
-  buf.Append(Bytes("payload"));
+  buf.Append(Bytes("pay"));
+  buf.Append(Bytes("load"));
   EXPECT_EQ(buf.size(), 7u);
-  buf.Consume(3);
-  EXPECT_EQ(AsString(buf.data()), "load");
-  buf.TrimTail(2);
-  EXPECT_EQ(AsString(buf.data()), "lo");
+  EXPECT_EQ(AsString(buf.data()), "payload");
+  EXPECT_EQ(buf.headroom(), 16u);
 }
 
 TEST(PacketBufferTest, PrependUsesHeadroom) {
@@ -42,22 +42,17 @@ TEST(PacketBufferTest, PrependUsesHeadroom) {
   EXPECT_EQ(buf.headroom(), 4u);
 }
 
-TEST(PacketBufferTest, FromBytes) {
-  PacketBuffer buf = PacketBuffer::FromBytes(Bytes("abc"));
-  EXPECT_EQ(AsString(buf.data()), "abc");
-  EXPECT_EQ(buf.headroom(), 0u);
-}
-
 TEST(EthTest, EncapDecapRoundTrip) {
   PacketBuffer packet;
   packet.Append(Bytes("ether payload"));
   EthEncap(packet, EthHeader{0x0A0B0C0D0E0Full, 0x010203040506ull, kEtherTypeIpLite});
-  auto header = EthDecap(packet);
+  std::span<const uint8_t> frame = packet.data();
+  auto header = EthDecap(frame);
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header->dst, 0x0A0B0C0D0E0Full);
   EXPECT_EQ(header->src, 0x010203040506ull);
   EXPECT_EQ(header->ether_type, kEtherTypeIpLite);
-  EXPECT_EQ(AsString(packet.data()), "ether payload");
+  EXPECT_EQ(AsString(frame), "ether payload");
 }
 
 TEST(EthTest, CorruptFcsRejected) {
@@ -65,25 +60,28 @@ TEST(EthTest, CorruptFcsRejected) {
   packet.Append(Bytes("data"));
   EthEncap(packet, EthHeader{1, 2, kEtherTypeIpLite});
   packet.data()[15] ^= 0x01;
-  EXPECT_FALSE(EthDecap(packet).ok());
+  std::span<const uint8_t> frame = packet.data();
+  EXPECT_FALSE(EthDecap(frame).ok());
 }
 
 TEST(EthTest, ShortFrameRejected) {
-  PacketBuffer packet = PacketBuffer::FromBytes(Bytes("tiny"));
-  EXPECT_FALSE(EthDecap(packet).ok());
+  const std::string tiny = "tiny";
+  std::span<const uint8_t> frame = Bytes(tiny);
+  EXPECT_FALSE(EthDecap(frame).ok());
 }
 
 TEST(IpTest, EncapDecapRoundTrip) {
   PacketBuffer packet;
   packet.Append(Bytes("ip payload"));
   IpEncap(packet, IpHeader{32, kIpProtoUdpLite, 0x0A000001, 0x0A000002, 0});
-  auto header = IpDecap(packet);
+  std::span<const uint8_t> bytes = packet.data();
+  auto header = IpDecap(bytes);
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header->ttl, 32);
   EXPECT_EQ(header->proto, kIpProtoUdpLite);
   EXPECT_EQ(header->src, 0x0A000001u);
   EXPECT_EQ(header->dst, 0x0A000002u);
-  EXPECT_EQ(AsString(packet.data()), "ip payload");
+  EXPECT_EQ(AsString(bytes), "ip payload");
 }
 
 TEST(IpTest, ChecksumDetectsCorruption) {
@@ -91,33 +89,37 @@ TEST(IpTest, ChecksumDetectsCorruption) {
   packet.Append(Bytes("x"));
   IpEncap(packet, IpHeader{64, kIpProtoUdpLite, 1, 2, 0});
   packet.data()[8] ^= 0x10;  // flip a src-address bit
-  EXPECT_FALSE(IpDecap(packet).ok());
+  std::span<const uint8_t> bytes = packet.data();
+  EXPECT_FALSE(IpDecap(bytes).ok());
 }
 
 TEST(IpTest, LengthMismatchRejected) {
   PacketBuffer packet;
   packet.Append(Bytes("payload"));
   IpEncap(packet, IpHeader{64, kIpProtoUdpLite, 1, 2, 0});
-  packet.TrimTail(2);  // truncate in flight
-  EXPECT_FALSE(IpDecap(packet).ok());
+  std::span<const uint8_t> bytes = packet.data();
+  bytes = bytes.first(bytes.size() - 2);  // truncate in flight
+  EXPECT_FALSE(IpDecap(bytes).ok());
 }
 
 TEST(IpTest, ZeroTtlRejected) {
   PacketBuffer packet;
   packet.Append(Bytes("x"));
   IpEncap(packet, IpHeader{0, kIpProtoUdpLite, 1, 2, 0});
-  EXPECT_FALSE(IpDecap(packet).ok());
+  std::span<const uint8_t> bytes = packet.data();
+  EXPECT_FALSE(IpDecap(bytes).ok());
 }
 
 TEST(UdpTest, EncapDecapRoundTrip) {
   PacketBuffer packet;
   packet.Append(Bytes("datagram"));
   UdpEncap(packet, UdpHeader{1234, 80, 0});
-  auto header = UdpDecap(packet);
+  std::span<const uint8_t> bytes = packet.data();
+  auto header = UdpDecap(bytes);
   ASSERT_TRUE(header.ok());
   EXPECT_EQ(header->src_port, 1234);
   EXPECT_EQ(header->dst_port, 80);
-  EXPECT_EQ(AsString(packet.data()), "datagram");
+  EXPECT_EQ(AsString(bytes), "datagram");
 }
 
 TEST(UdpTest, ChecksumCoversPayload) {
@@ -125,7 +127,8 @@ TEST(UdpTest, ChecksumCoversPayload) {
   packet.Append(Bytes("datagram"));
   UdpEncap(packet, UdpHeader{1234, 80, 0});
   packet.data()[UdpHeader::kWireSize + 2] ^= 0x01;  // corrupt payload byte
-  EXPECT_FALSE(UdpDecap(packet).ok());
+  std::span<const uint8_t> bytes = packet.data();
+  EXPECT_FALSE(UdpDecap(bytes).ok());
 }
 
 TEST(ChecksumTest, Rfc1071Properties) {
@@ -258,6 +261,49 @@ TEST_F(StackPairTest, UnboundPortDropped) {
   ASSERT_TRUE(alice_.SendDatagram(0x0A000002, 1, 9999, Bytes("x")).ok());
   Pump();
   EXPECT_EQ(bob_.stats().drops_no_socket, 1u);
+}
+
+TEST_F(StackPairTest, EmptyDatagramDelivered) {
+  std::vector<Datagram> received;
+  ASSERT_TRUE(bob_.BindPort(80, [&](const Datagram& d) { received.push_back(d); }).ok());
+  ASSERT_TRUE(alice_.SendDatagram(0x0A000002, 1234, 80, {}).ok());
+  Pump();
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_TRUE(received[0].payload.empty());
+}
+
+TEST_F(StackPairTest, LargeDatagramGetsAFrameOfItsOwnSize) {
+  std::vector<Datagram> received;
+  ASSERT_TRUE(bob_.BindPort(80, [&](const Datagram& d) { received.push_back(d); }).ok());
+  std::vector<uint8_t> payload(2000);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i * 7);
+  }
+  ASSERT_TRUE(alice_.SendDatagram(0x0A000002, 1234, 80, payload).ok());
+  ASSERT_EQ(to_bob_.size(), 1u);
+  ASSERT_EQ(to_bob_.front().size(), 2042u);  // 14 Eth + 16 IP + 8 UDP + 4 FCS
+  std::span<const uint8_t> bytes = to_bob_.front();
+  ASSERT_TRUE(EthDecap(bytes).ok());
+  ASSERT_TRUE(IpDecap(bytes).ok());
+  ASSERT_TRUE(UdpDecap(bytes).ok());
+  EXPECT_EQ(std::vector<uint8_t>(bytes.begin(), bytes.end()), payload);
+  Pump();
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received[0].payload, payload);
+}
+
+TEST_F(StackPairTest, PayloadPastTheIpLengthFieldIsOutOfRange) {
+  std::vector<Datagram> received;
+  ASSERT_TRUE(bob_.BindPort(80, [&](const Datagram& d) { received.push_back(d); }).ok());
+  // 65511 bytes + 24 of IP and UDP header is the largest IP total_length.
+  const std::vector<uint8_t> largest(65511, 0xA5);
+  ASSERT_TRUE(alice_.SendDatagram(0x0A000002, 1, 80, largest).ok());
+  const std::vector<uint8_t> too_large(65512, 0xA5);
+  EXPECT_EQ(alice_.SendDatagram(0x0A000002, 1, 80, too_large).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(alice_.stats().datagrams_out, 1u);
+  Pump();
+  ASSERT_EQ(received.size(), 1u);
+  EXPECT_EQ(received[0].payload, largest);
 }
 
 TEST_F(StackPairTest, WrongMacDropped) {
