@@ -2,8 +2,12 @@
 //
 // Page allocation/free, software-MMU access (8 B and 4 KiB), shared-page
 // setup across 2..16 protection domains, fault-handler dispatch, and
-// I/O-space access.
+// I/O-space access (registers, and device-buffer copies span vs word).
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <cstring>
+#include <vector>
 
 #include "src/hw/machine.h"
 #include "src/hw/timer.h"
@@ -123,6 +127,49 @@ void BM_IoRegisterAccess(benchmark::State& state) {
   }
 }
 
+// Device-buffer copies, span against word: one frame out of a network
+// device's buffer window. BM_IoBufferCopy is one ReadIo (one page lookup,
+// one memcpy); BM_IoBufferCopyWords is the per-word ReadIo32 loop the
+// network driver used before, one page-table walk per 4 bytes.
+struct IoBufferBed {
+  IoBufferBed() {
+    netdev = machine.AddDevice(std::make_unique<hw::NetworkDevice>("n", 1, 0xA));
+    window = *vmem.MapDeviceBuffer(vmem.kernel_context(), netdev, kProtReadWrite);
+  }
+  hw::Machine machine;
+  hw::NetworkDevice* netdev;
+  VirtualMemoryService vmem{64};
+  VAddr window = 0;
+};
+
+void BM_IoBufferCopy(benchmark::State& state) {
+  IoBufferBed bed;
+  Context* kernel = bed.vmem.kernel_context();
+  std::vector<uint8_t> frame(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bed.vmem.ReadIo(kernel, bed.window, frame));
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(frame.size()));
+}
+
+void BM_IoBufferCopyWords(benchmark::State& state) {
+  IoBufferBed bed;
+  Context* kernel = bed.vmem.kernel_context();
+  std::vector<uint8_t> frame(static_cast<size_t>(state.range(0)));
+  for (auto _ : state) {
+    for (size_t off = 0; off < frame.size(); off += 4) {
+      auto word = bed.vmem.ReadIo32(kernel, bed.window + off);
+      uint32_t v = *word;
+      std::memcpy(frame.data() + off, &v, std::min<size_t>(4, frame.size() - off));
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(frame.size()));
+}
+
 BENCHMARK(BM_AllocFreePage)->Arg(1)->Arg(4)->Arg(16)->Arg(64);
 BENCHMARK(BM_ReadU64ThroughMmu);
 BENCHMARK(BM_WriteBulkThroughMmu)->Arg(64)->Arg(512)->Arg(4096)->Arg(16384);
@@ -131,6 +178,8 @@ BENCHMARK(BM_SharePagesAcrossContexts)->Arg(2)->Arg(4)->Arg(8)->Arg(16);
 BENCHMARK(BM_FaultHandlerDispatch);
 BENCHMARK(BM_ProtectRange)->Arg(1)->Arg(16)->Arg(64);
 BENCHMARK(BM_IoRegisterAccess);
+BENCHMARK(BM_IoBufferCopy)->Arg(64)->Arg(361)->Arg(1326);
+BENCHMARK(BM_IoBufferCopyWords)->Arg(64)->Arg(361)->Arg(1326);
 
 }  // namespace
 

@@ -2,10 +2,12 @@
 # Bench smoke: every bench_* target must build, and the hot-path benches
 # (bench_invocation, bench_proxy, bench_events — the invocation pipeline —
 # plus bench_filter and bench_sfi, the per-packet filter path and the SFI
-# engine itself) and bench_certification (signing, validation and key
-# generation, the load path) must run end to end. A single iteration per
-# benchmark keeps this fast enough for CI while proving the perf harness
-# stays executable.
+# engine itself), bench_certification (signing, validation and key
+# generation, the load path), bench_vmem (the software MMU and I/O space,
+# with the device-buffer span-vs-word rows) and bench_protocol_placement
+# (the stack on the shared driver, with the FCS sliced-vs-bytewise rows)
+# must run end to end. A single iteration per benchmark keeps this fast
+# enough for CI while proving the perf harness stays executable.
 #
 # Two hot paths additionally get REGRESSION GATES, both normalized by a
 # fixed native integer calibration loop so they compare code quality, not
@@ -87,7 +89,7 @@ cmake --build "${BUILD_DIR}" -j "$(nproc)" --target "${targets[@]}"
 # --benchmark_min_time=1x (one iteration) needs benchmark >= 1.8; fall back
 # to a minimal wall-clock budget on older releases.
 for bench in bench_invocation bench_proxy bench_events bench_filter bench_sfi \
-             bench_certification; do
+             bench_certification bench_vmem bench_protocol_placement; do
   if ! "${BUILD_DIR}/bench/${bench}" --benchmark_min_time=1x; then
     "${BUILD_DIR}/bench/${bench}" --benchmark_min_time=0.001
   fi

@@ -1,7 +1,5 @@
 #include "src/components/net_driver.h"
 
-#include <algorithm>
-#include <cstring>
 #include <iterator>
 #include <string>
 
@@ -85,20 +83,12 @@ void NetDriver::OnRxInterrupt() {
       return;
     }
     auto len_reg = vmem_->ReadIo32(home_, regs_ + hw::NetworkDevice::kRegRxLen);
-    if (!len_reg.ok()) {
+    if (!len_reg.ok() || *len_reg > hw::NetworkDevice::kMaxFrame) {
       return;
     }
-    size_t len = *len_reg;
-    std::vector<uint8_t> frame(len);
-    for (size_t off = 0; off < len; off += 4) {
-      auto word =
-          vmem_->ReadIo32(home_, buffer_ + hw::NetworkDevice::kRxAreaOffset + off);
-      if (!word.ok()) {
-        return;
-      }
-      uint32_t v = *word;
-      size_t n = std::min<size_t>(4, len - off);
-      std::memcpy(frame.data() + off, &v, n);
+    std::vector<uint8_t> frame(*len_reg);
+    if (!vmem_->ReadIo(home_, buffer_ + hw::NetworkDevice::kRxAreaOffset, frame).ok()) {
+      return;
     }
     if (frame_filter_ != nullptr && !frame_filter_(frame)) {
       ++frames_filtered_;
@@ -118,24 +108,16 @@ uint64_t NetDriver::Send(uint64_t payload_vaddr, uint64_t len, uint64_t, uint64_
   }
   // Pull the payload from the caller-domain address (the proxy has already
   // re-homed it for cross-domain calls), then stage it in the TX area.
-  std::vector<uint8_t> payload(len);
-  Status read = vmem_->Read(home_, payload_vaddr, payload);
-  if (!read.ok()) {
+  std::span<uint8_t> payload(tx_frame_.data(), len);
+  if (!vmem_->Read(home_, payload_vaddr, payload).ok()) {
     return ~uint64_t{0};
   }
   if (frame_filter_ != nullptr && !frame_filter_(payload)) {
     ++frames_filtered_;
     return 0;  // silently dropped, as a NIC filter would
   }
-  for (size_t off = 0; off < len; off += 4) {
-    uint32_t word = 0;
-    size_t n = std::min<size_t>(4, len - off);
-    std::memcpy(&word, payload.data() + off, n);
-    Status wrote =
-        vmem_->WriteIo32(home_, buffer_ + hw::NetworkDevice::kTxAreaOffset + off, word);
-    if (!wrote.ok()) {
-      return ~uint64_t{0};
-    }
+  if (!vmem_->WriteIo(home_, buffer_ + hw::NetworkDevice::kTxAreaOffset, payload).ok()) {
+    return ~uint64_t{0};
   }
   Status kicked = vmem_->WriteIo32(home_, regs_ + hw::NetworkDevice::kRegTxLen,
                                    static_cast<uint32_t>(len));

@@ -3,9 +3,16 @@
 // nucleus") that can be instantiated in the kernel domain or a user domain.
 // It claims the device's register block as exclusive I/O space and the
 // on-device buffer as a (shareable) window, per the paper's I/O-space model.
+//
+// Frames move as spans: registers are 32-bit accesses, but a frame crosses
+// the buffer window in one ReadIo/WriteIo copy (one page lookup, every
+// check of the word accessors). Send reads the caller's payload into a
+// fixed TX staging buffer and writes it to the device from there; RX copies
+// each frame out of the buffer window once, into the driver queue.
 #ifndef PARAMECIUM_SRC_COMPONENTS_NET_DRIVER_H_
 #define PARAMECIUM_SRC_COMPONENTS_NET_DRIVER_H_
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <string_view>
@@ -67,6 +74,7 @@ class NetDriver : public obj::Object {
   nucleus::VAddr buffer_ = 0;
   uint64_t event_registration_ = 0;
   std::deque<std::vector<uint8_t>> rx_frames_;  // driver-side RX queue
+  std::array<uint8_t, hw::NetworkDevice::kMaxFrame> tx_frame_{};  // Send's payload staging
   net::RawFrameHook frame_filter_;
   uint64_t frames_filtered_ = 0;
   uint64_t invocations_ = 0;

@@ -48,6 +48,12 @@ Status StackComponent::Setup(const std::string& driver_path, net::StackConfig co
                         deps_.vmem->AllocatePages(home_, 1, nucleus::kProtReadWrite));
   PARA_ASSIGN_OR_RETURN(rx_buffer_,
                         deps_.vmem->AllocatePages(home_, 1, nucleus::kProtReadWrite));
+  // The component owns the RX page for its lifetime, so it translates it
+  // once (as proxies translate their windows) and hands received frames to
+  // the stack where they lie.
+  PARA_ASSIGN_OR_RETURN(rx_frame_, deps_.vmem->TranslateSpan(home_, rx_buffer_,
+                                                             nucleus::kPageSize,
+                                                             /*write=*/false));
 
   stack_ = std::make_unique<net::ProtocolStack>(
       config, [this](std::span<const uint8_t> frame) { return SendFrame(frame); });
@@ -81,24 +87,22 @@ Status StackComponent::SendFrame(std::span<const uint8_t> frame) {
 
 void StackComponent::PumpRx() {
   for (;;) {
-    uint64_t len = driver_->Invoke(kDriverPollRecv, rx_buffer_, nucleus::kPageSize);
-    if (len == 0) {
+    uint64_t len = driver_->Invoke(kDriverPollRecv, rx_buffer_, rx_frame_.size());
+    if (len == 0 || len > rx_frame_.size()) {
       return;
     }
-    std::vector<uint8_t> frame(len);
-    if (!deps_.vmem->Read(home_, rx_buffer_, frame).ok()) {
-      return;
-    }
-    stack_->OnFrame(frame);
+    // Nothing writes rx_buffer_ again until the next PollRecv, after
+    // OnFrame returns, so the frame stays unchanged for the call.
+    stack_->OnFrame(rx_frame_.first(len));
   }
 }
 
 uint64_t StackComponent::Send(uint64_t dst_ip, uint64_t ports, uint64_t payload_vaddr,
                               uint64_t len) {
-  if (len > nucleus::kPageSize) {
+  if (len > tx_payload_.size()) {
     return ~uint64_t{0};
   }
-  std::vector<uint8_t> payload(len);
+  std::span<uint8_t> payload(tx_payload_.data(), len);
   if (!deps_.vmem->Read(home_, payload_vaddr, payload).ok()) {
     return ~uint64_t{0};
   }

@@ -11,6 +11,7 @@
 #ifndef PARAMECIUM_SRC_COMPONENTS_PROTOCOL_STACK_H_
 #define PARAMECIUM_SRC_COMPONENTS_PROTOCOL_STACK_H_
 
+#include <array>
 #include <deque>
 #include <map>
 #include <memory>
@@ -68,6 +69,8 @@ class StackComponent : public obj::Object {
   std::unique_ptr<net::ProtocolStack> stack_;
   nucleus::VAddr tx_buffer_ = 0;  // frame staging in the home domain
   nucleus::VAddr rx_buffer_ = 0;
+  std::span<const uint8_t> rx_frame_;  // rx_buffer_, translated once at Setup
+  std::array<uint8_t, nucleus::kPageSize> tx_payload_{};  // Send's payload staging
   uint64_t event_registration_ = 0;
   std::map<net::Port, std::deque<net::Datagram>> inboxes_;
 };

@@ -389,50 +389,98 @@ Status VirtualMemoryService::UnmapIo(Context* context, VAddr vaddr) {
   return OkStatus();
 }
 
-Result<uint32_t> VirtualMemoryService::ReadIo32(Context* context, VAddr vaddr) {
-  PARA_ASSIGN_OR_RETURN(Pte * pte, ResolvePage(context, vaddr, /*write=*/false));
+Result<VirtualMemoryService::IoWindow> VirtualMemoryService::ResolveIoWindow(Context* context,
+                                                                           VAddr vaddr,
+                                                                           bool write) {
+  PARA_ASSIGN_OR_RETURN(Pte * pte, ResolvePage(context, vaddr, write));
   if (!pte->io) {
     return Status(ErrorCode::kInvalidArgument, "not an io window");
   }
-  IoWindow& window = io_windows_[pte->phys];
+  const IoWindow& window = io_windows_[pte->phys];
   if (window.device == nullptr) {
     return Status(ErrorCode::kUnavailable, "io window retired");
   }
+  return window;
+}
+
+Result<std::span<uint8_t>> VirtualMemoryService::ResolveIoBuffer(Context* context, VAddr vaddr,
+                                                                 const IoWindow& first,
+                                                                 size_t len, bool write) {
+  if (first.registers) {
+    return Status(ErrorCode::kInvalidArgument, "span access to a register window");
+  }
+  std::span<uint8_t> buffer = first.device->device_buffer();
+  size_t start = first.buffer_page_offset + vaddr % kPageSize;
+  if (start + len > buffer.size()) {
+    return Status(ErrorCode::kOutOfRange, "io span runs past the device buffer");
+  }
+  // The first page is resolved; each further page must resolve to the next
+  // page of the same device's buffer.
+  VAddr first_page = vaddr & ~(kPageSize - 1);
+  size_t pages = (vaddr % kPageSize + len + kPageSize - 1) / kPageSize;
+  for (size_t i = 1; i < pages; ++i) {
+    PARA_ASSIGN_OR_RETURN(Pte * pte, ResolvePage(context, first_page + i * kPageSize, write));
+    const IoWindow* next = pte->io ? &io_windows_[pte->phys] : nullptr;
+    if (next == nullptr || next->registers || next->device != first.device ||
+        next->buffer_page_offset != first.buffer_page_offset + i * kPageSize) {
+      return Status(ErrorCode::kOutOfRange, "io span leaves the device buffer window");
+    }
+  }
+  return buffer.subspan(start, len);
+}
+
+Result<uint32_t> VirtualMemoryService::ReadIo32(Context* context, VAddr vaddr) {
+  PARA_ASSIGN_OR_RETURN(IoWindow window, ResolveIoWindow(context, vaddr, /*write=*/false));
   size_t offset = vaddr % kPageSize;
   if (window.registers) {
+    if (offset + 4 > window.device->register_block().size()) {
+      return Status(ErrorCode::kOutOfRange, "io register read past the register block");
+    }
     return window.device->ReadReg(offset);
   }
-  // Buffer window: plain 32-bit load from the device buffer.
-  offset += window.buffer_page_offset;
-  auto buffer = window.device->device_buffer();
-  if (offset + 4 > buffer.size()) {
-    return Status(ErrorCode::kOutOfRange, "io buffer read out of range");
-  }
+  PARA_ASSIGN_OR_RETURN(std::span<uint8_t> bytes,
+                        ResolveIoBuffer(context, vaddr, window, 4, /*write=*/false));
   uint32_t value;
-  std::memcpy(&value, buffer.data() + offset, 4);
+  std::memcpy(&value, bytes.data(), 4);
   return value;
 }
 
 Status VirtualMemoryService::WriteIo32(Context* context, VAddr vaddr, uint32_t value) {
-  PARA_ASSIGN_OR_RETURN(Pte * pte, ResolvePage(context, vaddr, /*write=*/true));
-  if (!pte->io) {
-    return Status(ErrorCode::kInvalidArgument, "not an io window");
-  }
-  IoWindow& window = io_windows_[pte->phys];
-  if (window.device == nullptr) {
-    return Status(ErrorCode::kUnavailable, "io window retired");
-  }
+  PARA_ASSIGN_OR_RETURN(IoWindow window, ResolveIoWindow(context, vaddr, /*write=*/true));
   size_t offset = vaddr % kPageSize;
   if (window.registers) {
+    if (offset + 4 > window.device->register_block().size()) {
+      return Status(ErrorCode::kOutOfRange, "io register write past the register block");
+    }
     window.device->WriteReg(offset, value);
     return OkStatus();
   }
-  offset += window.buffer_page_offset;
-  auto buffer = window.device->device_buffer();
-  if (offset + 4 > buffer.size()) {
-    return Status(ErrorCode::kOutOfRange, "io buffer write out of range");
+  PARA_ASSIGN_OR_RETURN(std::span<uint8_t> bytes,
+                        ResolveIoBuffer(context, vaddr, window, 4, /*write=*/true));
+  std::memcpy(bytes.data(), &value, 4);
+  return OkStatus();
+}
+
+Status VirtualMemoryService::ReadIo(Context* context, VAddr vaddr, std::span<uint8_t> out) {
+  if (out.empty()) {
+    return OkStatus();
   }
-  std::memcpy(buffer.data() + offset, &value, 4);
+  PARA_ASSIGN_OR_RETURN(IoWindow window, ResolveIoWindow(context, vaddr, /*write=*/false));
+  PARA_ASSIGN_OR_RETURN(std::span<uint8_t> bytes,
+                        ResolveIoBuffer(context, vaddr, window, out.size(), /*write=*/false));
+  std::memcpy(out.data(), bytes.data(), out.size());
+  return OkStatus();
+}
+
+Status VirtualMemoryService::WriteIo(Context* context, VAddr vaddr,
+                                     std::span<const uint8_t> data) {
+  if (data.empty()) {
+    return OkStatus();
+  }
+  PARA_ASSIGN_OR_RETURN(IoWindow window, ResolveIoWindow(context, vaddr, /*write=*/true));
+  PARA_ASSIGN_OR_RETURN(std::span<uint8_t> bytes,
+                        ResolveIoBuffer(context, vaddr, window, data.size(), /*write=*/true));
+  std::memcpy(bytes.data(), data.data(), data.size());
   return OkStatus();
 }
 

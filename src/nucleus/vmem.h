@@ -112,9 +112,28 @@ class VirtualMemoryService : public obj::Object {
                                            bool write);
 
   // --- I/O space (§3: exclusive register windows, shared device buffers) ---
+  //
+  // I/O pages bypass the translation cache and byte access (Read/Write); they
+  // are reached only through the accessors below, and every page they touch
+  // goes through ResolvePage, so protection and fault handlers apply as for
+  // memory. Shared error codes: a page that is not an I/O window is
+  // kInvalidArgument, a retired window kUnavailable.
+  //
+  //   register window  ReadIo32/WriteIo32 only: 32-bit accesses with device
+  //                    side effects. An offset whose 4 bytes run past the
+  //                    device's register block is kOutOfRange (the device is
+  //                    never asked). ReadIo/WriteIo reject it (kInvalidArgument).
+  //   buffer window    ReadIo/WriteIo copy a span; ReadIo32/WriteIo32 are the
+  //                    4-byte case of the same path. A span must stay inside
+  //                    one device's buffer: running past its end — into
+  //                    whatever is mapped next, even another device's
+  //                    window — is kOutOfRange.
+  //
+  // Span copies resolve and check every page before moving a byte, so a
+  // failed call copies nothing.
 
   // Maps a device register block into `context`. Exclusive: only one context
-  // may hold it. Returns the I/O virtual base; access via ReadIo32/WriteIo32.
+  // may hold it. Returns the I/O virtual base.
   Result<VAddr> MapDeviceRegisters(Context* context, hw::Device* device);
   // Maps the device's on-board buffer; shareable across contexts.
   Result<VAddr> MapDeviceBuffer(Context* context, hw::Device* device, uint8_t prot);
@@ -122,6 +141,11 @@ class VirtualMemoryService : public obj::Object {
 
   Result<uint32_t> ReadIo32(Context* context, VAddr vaddr);
   Status WriteIo32(Context* context, VAddr vaddr, uint32_t value);
+
+  // Span copies out of / into a device-buffer window (one page lookup per
+  // page). An empty span succeeds without touching the mapping.
+  Status ReadIo(Context* context, VAddr vaddr, std::span<uint8_t> out);
+  Status WriteIo(Context* context, VAddr vaddr, std::span<const uint8_t> data);
 
   const VmemStats& stats() const { return stats_; }
   size_t free_pages() const;
@@ -139,6 +163,15 @@ class VirtualMemoryService : public obj::Object {
   // success, fills the context's translation cache for plain memory pages.
   Result<Pte*> ResolvePage(Context* context, VAddr vaddr, bool write);
   Status RaiseFault(Context* context, VAddr vaddr, FaultKind kind, bool write);
+
+  // Resolves the page of `vaddr` to its live I/O window (by value: a fault
+  // handler run by a later resolution may grow io_windows_).
+  Result<IoWindow> ResolveIoWindow(Context* context, VAddr vaddr, bool write);
+  // Resolves [vaddr, vaddr + len) to the device-buffer bytes behind it, given
+  // `first`, the window of vaddr's page (a register window is rejected), and
+  // checks every further page before returning.
+  Result<std::span<uint8_t>> ResolveIoBuffer(Context* context, VAddr vaddr,
+                                             const IoWindow& first, size_t len, bool write);
 
   // Flat fault-handler pool. PTEs store slot indices; a deque keeps the
   // slots address-stable so a running handler may register further handlers

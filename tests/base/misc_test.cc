@@ -1,9 +1,13 @@
 // CRC-32, PRNG, hexdump, virtual clock, and logger tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <set>
+#include <span>
 #include <string>
+#include <vector>
 
 #include "src/base/crc32.h"
 #include "src/base/hexdump.h"
@@ -37,6 +41,81 @@ TEST(Crc32Test, DetectsCorruption) {
   uint32_t good = Crc32(data);
   data[17] ^= 1;
   EXPECT_NE(Crc32(data), good);
+}
+
+// The classic one-table, one-byte-per-step CRC-32 loop: the oracle the
+// sliced implementation must match bit for bit.
+uint32_t BytewiseCrc32Update(uint32_t crc, std::span<const uint8_t> data) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  for (uint8_t byte : data) {
+    crc = table[(crc ^ byte) & 0xFF] ^ (crc >> 8);
+  }
+  return crc;
+}
+
+uint32_t BytewiseCrc32(std::span<const uint8_t> data) {
+  return BytewiseCrc32Update(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
+}
+
+std::vector<uint8_t> RandomBytes(Random& rng, size_t len) {
+  std::vector<uint8_t> bytes(len);
+  for (uint8_t& b : bytes) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  return bytes;
+}
+
+TEST(Crc32Test, MatchesBytewiseOracleAtEveryLengthAndAlignment) {
+  Random rng(0xC3C32);
+  // 8 spare bytes so every start offset 0..7 can see the full length.
+  std::vector<uint8_t> backing = RandomBytes(rng, 4096 + 8);
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 64; ++len) {
+    lengths.push_back(len);
+  }
+  for (int i = 0; i < 200; ++i) {
+    lengths.push_back(rng.NextBelow(4097));
+  }
+  lengths.push_back(4096);
+  for (size_t len : lengths) {
+    for (size_t offset = 0; offset < 8; ++offset) {
+      std::span<const uint8_t> data(backing.data() + offset, len);
+      ASSERT_EQ(Crc32(data), BytewiseCrc32(data)) << "len " << len << " offset " << offset;
+    }
+  }
+}
+
+TEST(Crc32Test, SplitUpdatesMatchBytewiseOracle) {
+  Random rng(0x5B117);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<uint8_t> data = RandomBytes(rng, rng.NextBelow(4097));
+    // Cut the buffer into random pieces: most are not multiples of 8, so
+    // pieces end and start mid-slice.
+    uint32_t crc = Crc32Init();
+    size_t done = 0;
+    while (done < data.size()) {
+      size_t piece = std::min<size_t>(rng.NextBelow(40), data.size() - done);
+      crc = Crc32Update(crc, std::span<const uint8_t>(data).subspan(done, piece));
+      done += piece;
+    }
+    uint32_t oracle = BytewiseCrc32(data);
+    ASSERT_EQ(Crc32Final(crc), oracle) << "trial " << trial;
+    ASSERT_EQ(Crc32(data), oracle) << "trial " << trial;
+    // The incremental state itself matches too, not only the finished CRC.
+    size_t cut = data.empty() ? 0 : rng.NextBelow(data.size() + 1);
+    std::span<const uint8_t> head = std::span<const uint8_t>(data).first(cut);
+    ASSERT_EQ(Crc32Update(Crc32Init(), head), BytewiseCrc32Update(0xFFFFFFFFu, head));
+  }
 }
 
 TEST(RandomTest, Deterministic) {

@@ -2,6 +2,9 @@
 // console/timer/network drivers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/components/allocator.h"
 #include "src/components/console_driver.h"
 #include "src/components/interposer.h"
@@ -162,6 +165,47 @@ TEST_F(ComponentsTest, NetDriverSendsAndReceives) {
   // Stats flow through.
   EXPECT_EQ((*iface_a)->Invoke(5, 0), 1u);  // tx
   EXPECT_EQ((*iface_b)->Invoke(5, 1), 1u);  // rx
+}
+
+TEST_F(ComponentsTest, NetDriverFramesCrossTheWireByteExact) {
+  // Odd lengths cover the tail of a frame that is not a whole number of
+  // 32-bit words; 2048 is the largest frame the device carries.
+  auto* vmem = &nucleus_->vmem();
+  auto* kernel = nucleus_->kernel_context();
+  auto driver_a = NetDriver::Create(vmem, &nucleus_->events(), net_a_, kernel);
+  auto driver_b = NetDriver::Create(vmem, &nucleus_->events(), net_b_, kernel);
+  ASSERT_TRUE(driver_a.ok());
+  ASSERT_TRUE(driver_b.ok());
+  obj::Interface* tx = *(*driver_a)->GetInterface(NetDriverType()->name());
+  obj::Interface* rx = *(*driver_b)->GetInterface(NetDriverType()->name());
+  auto txbuf = vmem->AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  auto rxbuf = vmem->AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  ASSERT_TRUE(txbuf.ok());
+  ASSERT_TRUE(rxbuf.ok());
+
+  std::vector<size_t> lengths = {1, 2, 3, 4, 5, 6, 7, 8, hw::NetworkDevice::kMaxFrame};
+  for (size_t len : lengths) {
+    std::vector<uint8_t> frame(len);
+    for (size_t i = 0; i < len; ++i) {
+      frame[i] = static_cast<uint8_t>(len * 31 + i * 13 + 1);
+    }
+    ASSERT_TRUE(vmem->Write(kernel, *txbuf, frame).ok());
+    // Poison the receive page so a short copy shows.
+    std::vector<uint8_t> poison(nucleus::kPageSize, 0xEE);
+    ASSERT_TRUE(vmem->Write(kernel, *rxbuf, poison).ok());
+
+    ASSERT_EQ(tx->Invoke(0, *txbuf, len), 0u) << len;
+    machine_.Advance(200);
+    Settle();
+    ASSERT_EQ(rx->Invoke(1, *rxbuf, nucleus::kPageSize), len);
+    std::vector<uint8_t> got(len + 4);
+    ASSERT_TRUE(vmem->Read(kernel, *rxbuf, got).ok());
+    EXPECT_TRUE(std::equal(frame.begin(), frame.end(), got.begin())) << len;
+    EXPECT_EQ(got[len], 0xEE) << len;  // nothing past the frame was written
+    EXPECT_EQ(rx->Invoke(1, *rxbuf, nucleus::kPageSize), 0u);  // exactly one frame
+  }
+  // One past the device's largest frame is refused before staging.
+  EXPECT_EQ(tx->Invoke(0, *txbuf, hw::NetworkDevice::kMaxFrame + 1), ~uint64_t{0});
 }
 
 TEST_F(ComponentsTest, NetDriverMeasurementInterface) {

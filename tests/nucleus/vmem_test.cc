@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
+#include <vector>
 
 #include "src/hw/machine.h"
 #include "src/hw/timer.h"
@@ -279,6 +282,186 @@ TEST_F(VmemTest, ByteAccessToIoWindowRejected) {
   auto io = vmem_.MapDeviceRegisters(kernel_, timer);
   ASSERT_TRUE(io.ok());
   EXPECT_FALSE(vmem_.ReadU64(kernel_, *io).ok());
+}
+
+TEST_F(VmemTest, RegisterAccessPastTheRegisterBlockIsOutOfRange) {
+  // Regression: any in-page offset used to reach Device::ReadReg/WriteReg,
+  // whose bounds check aborted the process — reachable from any domain
+  // holding a register mapping, a user-domain driver included.
+  hw::Machine machine;
+  auto* netdev = machine.AddDevice(std::make_unique<hw::NetworkDevice>("n", 1, 0xA));
+  Context* user = vmem_.CreateContext("user", kernel_);
+  auto io = vmem_.MapDeviceRegisters(user, netdev);
+  ASSERT_TRUE(io.ok());
+  std::vector<uint8_t> before(netdev->register_block().begin(),
+                              netdev->register_block().end());
+  for (VAddr offset : {VAddr{hw::NetworkDevice::kRegisterBytes}, VAddr{0xFFC}}) {
+    auto read = vmem_.ReadIo32(user, *io + offset);
+    EXPECT_EQ(read.status().code(), ErrorCode::kOutOfRange) << offset;
+    EXPECT_EQ(vmem_.WriteIo32(user, *io + offset, 0xDEADBEEF).code(), ErrorCode::kOutOfRange)
+        << offset;
+  }
+  EXPECT_TRUE(std::equal(before.begin(), before.end(), netdev->register_block().begin()));
+  // The last register still works.
+  auto last = vmem_.ReadIo32(user, *io + hw::NetworkDevice::kRegisterBytes - 4);
+  ASSERT_TRUE(last.ok());
+  EXPECT_TRUE(vmem_.WriteIo32(user, *io + hw::NetworkDevice::kRegisterBytes - 4, *last).ok());
+}
+
+// Fills a device's buffer with a recognizable pattern.
+void FillPattern(std::span<uint8_t> bytes) {
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    bytes[i] = static_cast<uint8_t>(i * 7 + 3);
+  }
+}
+
+TEST_F(VmemTest, IoSpanRoundTripsAgainstWordAccess) {
+  hw::Machine machine;
+  auto* netdev = machine.AddDevice(std::make_unique<hw::NetworkDevice>("n", 1, 0xA));
+  auto win = vmem_.MapDeviceBuffer(kernel_, netdev, kProtReadWrite);
+  ASSERT_TRUE(win.ok());
+  auto buffer = netdev->device_buffer();
+  for (size_t start = 100; start < 108; ++start) {
+    for (size_t len = 0; len <= 9; ++len) {
+      FillPattern(buffer);
+      // ReadIo sees exactly the bytes the word accessor sees.
+      std::vector<uint8_t> got(len, 0xEE);
+      ASSERT_TRUE(vmem_.ReadIo(kernel_, *win + start, got).ok());
+      for (size_t i = 0; i < len; ++i) {
+        auto word = vmem_.ReadIo32(kernel_, *win + start + i);
+        ASSERT_TRUE(word.ok());
+        EXPECT_EQ(got[i], static_cast<uint8_t>(*word)) << start << "+" << i;
+      }
+      // WriteIo changes exactly [start, start + len); word reads see it.
+      std::vector<uint8_t> data(len);
+      for (size_t i = 0; i < len; ++i) {
+        data[i] = static_cast<uint8_t>(0xA0 + i);
+      }
+      ASSERT_TRUE(vmem_.WriteIo(kernel_, *win + start, data).ok());
+      for (size_t i = 0; i < len; ++i) {
+        auto word = vmem_.ReadIo32(kernel_, *win + start + i);
+        ASSERT_TRUE(word.ok());
+        EXPECT_EQ(static_cast<uint8_t>(*word), data[i]);
+      }
+      EXPECT_EQ(buffer[start - 1], static_cast<uint8_t>((start - 1) * 7 + 3));
+      EXPECT_EQ(buffer[start + len], static_cast<uint8_t>((start + len) * 7 + 3));
+    }
+  }
+}
+
+TEST_F(VmemTest, IoSpanPastTheBufferEndCopiesNothing) {
+  hw::Machine machine;
+  auto* netdev = machine.AddDevice(std::make_unique<hw::NetworkDevice>("n", 1, 0xA));
+  auto win = vmem_.MapDeviceBuffer(kernel_, netdev, kProtReadWrite);
+  ASSERT_TRUE(win.ok());
+  auto buffer = netdev->device_buffer();
+  FillPattern(buffer);
+  VAddr near_end = *win + buffer.size() - 3;
+  std::vector<uint8_t> out(4, 0xEE);
+  EXPECT_EQ(vmem_.ReadIo(kernel_, near_end, out).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(out, std::vector<uint8_t>(4, 0xEE));
+  std::vector<uint8_t> data(4, 0x55);
+  EXPECT_EQ(vmem_.WriteIo(kernel_, near_end, data).code(), ErrorCode::kOutOfRange);
+  for (size_t i = buffer.size() - 3; i < buffer.size(); ++i) {
+    EXPECT_EQ(buffer[i], static_cast<uint8_t>(i * 7 + 3));
+  }
+  // The word accessors share the bounds check.
+  EXPECT_EQ(vmem_.ReadIo32(kernel_, near_end).status().code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(vmem_.WriteIo32(kernel_, near_end, 0).code(), ErrorCode::kOutOfRange);
+  // The bytes up to the end are still reachable.
+  ASSERT_TRUE(vmem_.ReadIo(kernel_, near_end, std::span<uint8_t>(out).first(3)).ok());
+  EXPECT_EQ(out[0], static_cast<uint8_t>((buffer.size() - 3) * 7 + 3));
+}
+
+TEST_F(VmemTest, IoSpanDoesNotRunIntoTheNextDevicesWindow) {
+  hw::Machine machine;
+  auto* first = machine.AddDevice(std::make_unique<hw::NetworkDevice>("n0", 1, 0xA));
+  auto* second = machine.AddDevice(std::make_unique<hw::NetworkDevice>("n1", 2, 0xB));
+  auto win_a = vmem_.MapDeviceBuffer(kernel_, first, kProtReadWrite);
+  auto win_b = vmem_.MapDeviceBuffer(kernel_, second, kProtReadWrite);
+  ASSERT_TRUE(win_a.ok());
+  ASSERT_TRUE(win_b.ok());
+  ASSERT_EQ(*win_b, *win_a + first->device_buffer().size());  // mapped back to back
+  FillPattern(first->device_buffer());
+  FillPattern(second->device_buffer());
+  VAddr straddle = *win_b - 4;
+  std::vector<uint8_t> out(8, 0xEE);
+  EXPECT_EQ(vmem_.ReadIo(kernel_, straddle, out).code(), ErrorCode::kOutOfRange);
+  EXPECT_EQ(out, std::vector<uint8_t>(8, 0xEE));
+  std::vector<uint8_t> data(8, 0x55);
+  EXPECT_EQ(vmem_.WriteIo(kernel_, straddle, data).code(), ErrorCode::kOutOfRange);
+  for (auto* dev : {first, second}) {
+    auto bytes = dev->device_buffer();
+    for (size_t i = 0; i < bytes.size(); ++i) {
+      ASSERT_EQ(bytes[i], static_cast<uint8_t>(i * 7 + 3)) << dev->name() << " @" << i;
+    }
+  }
+}
+
+TEST_F(VmemTest, IoSpanRejectsRegisterWindows) {
+  hw::Machine machine;
+  auto* netdev = machine.AddDevice(std::make_unique<hw::NetworkDevice>("n", 1, 0xA));
+  auto io = vmem_.MapDeviceRegisters(kernel_, netdev);
+  ASSERT_TRUE(io.ok());
+  std::vector<uint8_t> bytes(4);
+  EXPECT_EQ(vmem_.ReadIo(kernel_, *io, bytes).code(), ErrorCode::kInvalidArgument);
+  EXPECT_EQ(vmem_.WriteIo(kernel_, *io + hw::NetworkDevice::kRegCtrl, bytes).code(),
+            ErrorCode::kInvalidArgument);
+  EXPECT_EQ(netdev->ReadReg(hw::NetworkDevice::kRegCtrl), 0u);  // device untouched
+  // A plain memory page is not an I/O window either.
+  auto page = vmem_.AllocatePages(kernel_, 1, kProtReadWrite);
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ(vmem_.ReadIo(kernel_, *page, bytes).code(), ErrorCode::kInvalidArgument);
+}
+
+TEST_F(VmemTest, IoSpanHonorsProtectionAndFaults) {
+  hw::Machine machine;
+  auto* netdev = machine.AddDevice(std::make_unique<hw::NetworkDevice>("n", 1, 0xA));
+  Context* user = vmem_.CreateContext("user", kernel_);
+  auto ro = vmem_.MapDeviceBuffer(user, netdev, kProtRead);
+  ASSERT_TRUE(ro.ok());
+  FillPattern(netdev->device_buffer());
+  std::vector<uint8_t> bytes(16, 0x55);
+  EXPECT_FALSE(vmem_.WriteIo(user, *ro + 32, bytes).ok());
+  EXPECT_EQ(netdev->device_buffer()[32], static_cast<uint8_t>(32 * 7 + 3));
+  EXPECT_TRUE(vmem_.ReadIo(user, *ro + 32, bytes).ok());  // reading is allowed
+  EXPECT_EQ(bytes[0], static_cast<uint8_t>(32 * 7 + 3));
+  // An address with no mapping faults.
+  VAddr unmapped = user->AllocateRegion(1);
+  EXPECT_EQ(vmem_.ReadIo(user, unmapped, bytes).code(), ErrorCode::kFault);
+  EXPECT_EQ(vmem_.WriteIo(user, unmapped, bytes).code(), ErrorCode::kFault);
+}
+
+TEST_F(VmemTest, IoSpanCrossesPagesOfOneDeviceBuffer) {
+  // A device whose buffer spans two pages: one window, two PTEs.
+  hw::Device device("big", 3, 16, 2 * kPageSize);
+  auto win = vmem_.MapDeviceBuffer(kernel_, &device, kProtReadWrite);
+  ASSERT_TRUE(win.ok());
+  std::vector<uint8_t> data(300);
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(255 - i);
+  }
+  VAddr start = *win + kPageSize - 100;
+  ASSERT_TRUE(vmem_.WriteIo(kernel_, start, data).ok());
+  EXPECT_TRUE(std::equal(data.begin(), data.end(),
+                         device.device_buffer().begin() + kPageSize - 100));
+  std::vector<uint8_t> back(data.size());
+  ASSERT_TRUE(vmem_.ReadIo(kernel_, start, back).ok());
+  EXPECT_EQ(back, data);
+  // A word straddling the page boundary resolves both pages.
+  auto word = vmem_.ReadIo32(kernel_, *win + kPageSize - 2);
+  ASSERT_TRUE(word.ok());
+  uint32_t expected;
+  std::memcpy(&expected, device.device_buffer().data() + kPageSize - 2, 4);
+  EXPECT_EQ(*word, expected);
+  // With the second page unmapped, the same copy faults and copies nothing.
+  ASSERT_TRUE(vmem_.UnmapIo(kernel_, *win + kPageSize).ok());
+  std::vector<uint8_t> out(data.size(), 0xEE);
+  EXPECT_FALSE(vmem_.ReadIo(kernel_, start, out).ok());
+  EXPECT_EQ(out, std::vector<uint8_t>(data.size(), 0xEE));
+  std::vector<uint8_t> zeros(data.size(), 0);
+  EXPECT_FALSE(vmem_.WriteIo(kernel_, start, zeros).ok());
+  EXPECT_EQ(device.device_buffer()[kPageSize - 100], data[0]);
 }
 
 TEST_F(VmemTest, FaultHandlerKeysAreNotTruncated) {
