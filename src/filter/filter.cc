@@ -1,5 +1,7 @@
 #include "src/filter/filter.h"
 
+#include <sys/random.h>
+
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
@@ -71,8 +73,10 @@ const obj::TypeInfo* FilterType() {
 PacketFilter::PacketFilter(FilterConfig config) : config_(std::move(config)) {
   const size_t n = config_.shards;
   // Total capacity splits evenly; the ceiling keeps a 1-shard filter exactly
-  // at the configured capacity and never rounds a shard down to zero.
-  const size_t per_shard_capacity = (config_.flow_capacity + n - 1) / n;
+  // at the configured capacity and never rounds a shard down to zero, and is
+  // taken without an addition that could wrap.
+  const size_t per_shard_capacity =
+      config_.flow_capacity / n + (config_.flow_capacity % n != 0 ? 1 : 0);
   // xorshift64* needs a non-zero state; fold a fixed odd constant in for
   // callers that zero the seed. Shard 0 keeps the exact legacy stream (the
   // single-shard differential tests depend on it); further shards derive
@@ -84,7 +88,12 @@ PacketFilter::PacketFilter(FilterConfig config) : config_(std::move(config)) {
     if (seed == 0) {
       seed = 0x2545F4914F6CDD1Dull;
     }
-    shards_.push_back(std::make_unique<Shard>(this, s, per_shard_capacity, seed));
+    // Each table keys its index with its own secret from the kernel's
+    // entropy pool, so flow keys chosen to collide in one table's index
+    // need that table's secret.
+    uint64_t secret = 0;
+    PARA_CHECK(getrandom(&secret, sizeof(secret), 0) == static_cast<ssize_t>(sizeof(secret)));
+    shards_.push_back(std::make_unique<Shard>(this, s, per_shard_capacity, seed, secret));
   }
 }
 
@@ -116,6 +125,9 @@ uint64_t PacketFilter::RandomHelper(void* ctx, uint64_t modulus) {
 Result<std::unique_ptr<PacketFilter>> PacketFilter::Create(FilterConfig config) {
   if (config.flow_capacity == 0) {
     return Status(ErrorCode::kInvalidArgument, "flow table needs capacity");
+  }
+  if (config.flow_capacity > kMaxFlowCapacity) {
+    return Status(ErrorCode::kInvalidArgument, "flow capacity exceeds kMaxFlowCapacity");
   }
   if (config.shards == 0) {
     config.shards = DefaultShardCount();
@@ -163,6 +175,7 @@ void PacketFilter::RegisterMetrics() {
       {"flow.evictions", &FlowTableStats::evictions},
       {"flow.expirations", &FlowTableStats::expirations},
       {"flow.reorientations", &FlowTableStats::reorientations},
+      {"flow.probes", &FlowTableStats::probes},
   };
   for (const FlowField& ff : kFlowFields) {
     metrics_.Fn(prefix + ff.name,

@@ -10,9 +10,9 @@
 //   * kTrusted  — after the compiled program is certified (nucleus/cert.h)
 //     the same bytecode runs with no run-time checks.
 // A bounded flow table (flow_table.h) adds stateful firewalling: passed
-// flows are cached — reply traffic shares the entry via reverse-tuple
-// matching — and skip rule evaluation. A hot rule-set reload bumps the
-// epoch; flows admitted under an older epoch re-evaluate on their next
+// flows are cached — one entry per conversation, which reply traffic finds
+// with the same probe — and skip rule evaluation. A hot rule-set reload
+// bumps the epoch; flows admitted under an older epoch re-evaluate on their next
 // packet (fail closed) unless FilterConfig::flow_keepalive_across_reloads
 // opts into the old keep-alive semantics. With a virtual clock configured,
 // idle flows expire.
@@ -103,7 +103,8 @@ struct FilterConfig {
   // sharded leg sets it), defaulting to 1; an explicit value wins over the
   // environment. Must not exceed kMaxFilterShards.
   size_t shards = 0;
-  // Total flow capacity, split evenly across shards.
+  // Total flow capacity, split evenly across shards. At most
+  // kMaxFlowCapacity.
   size_t flow_capacity = 1024;
   bool track_flows = true;
   // Reload semantics for established flows. By default a flow-table hit
@@ -377,10 +378,11 @@ class PacketFilter : public obj::Object {
   // trace-sampling state, and the EBR announce slot. Cache-line aligned so
   // per-queue workers do not false-share counters.
   struct alignas(64) Shard {
-    Shard(PacketFilter* filter, size_t shard_index, size_t flow_capacity, uint64_t rng_seed)
+    Shard(PacketFilter* filter, size_t shard_index, size_t flow_capacity, uint64_t rng_seed,
+          uint64_t flow_secret)
         : owner(filter),
           index(shard_index),
-          flows(flow_capacity, filter->config_.clock, filter->config_.flow_ttl),
+          flows(flow_capacity, filter->config_.clock, filter->config_.flow_ttl, flow_secret),
           rng_state(rng_seed) {}
     PacketFilter* owner;
     size_t index;

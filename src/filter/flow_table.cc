@@ -1,127 +1,274 @@
 #include "src/filter/flow_table.h"
 
+#include <bit>
+#include <cstring>
+#include <new>
+
 #include "src/base/log.h"
 
 namespace para::filter {
 
-FlowTable::FlowTable(size_t capacity, const VirtualClock* clock, VTime ttl)
-    : capacity_(capacity), clock_(clock), ttl_(clock == nullptr ? 0 : ttl) {
-  PARA_CHECK(capacity > 0);
-  map_.reserve(capacity);
+namespace {
+
+// splitmix64 finalizer: spreads the one table secret into two hash keys.
+uint64_t Mix64(uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+// The 5-tuple packed into two words, to compare whole keys at once.
+uint64_t Addrs(const FlowKey& k) { return k.src_ip | static_cast<uint64_t>(k.dst_ip) << 32; }
+uint64_t Ports(const FlowKey& k) {
+  return k.src_port | static_cast<uint64_t>(k.dst_port) << 16 |
+         static_cast<uint64_t>(k.proto) << 32;
+}
+
+}  // namespace
+
+FlowTable::FlowTable(size_t capacity, const VirtualClock* clock, VTime ttl, uint64_t secret)
+    : capacity_(capacity),
+      clock_(clock),
+      ttl_(clock == nullptr ? 0 : ttl),
+      key0_(Mix64(secret)),
+      key1_(Mix64(~secret)) {
+  PARA_CHECK(capacity > 0 && capacity <= kMaxFlowCapacity);
+  // At most half full: a miss then ends on an empty bucket within a few
+  // probes, and there always is one.
+  const size_t buckets = std::bit_ceil(2 * capacity);
+  mask_ = buckets - 1;
+  shift_ = 32 - static_cast<unsigned>(std::countr_zero(buckets));
+  // An all-zero bucket is empty, so calloc's zero pages are an empty index;
+  // entries and links are written before they are read and cost memory
+  // only once used.
+  index_.reset(static_cast<Bucket*>(std::calloc(buckets, sizeof(Bucket))));
+  links_.reset(static_cast<Link*>(std::malloc((capacity + 1) * sizeof(Link))));
+  entries_.reset(static_cast<FlowEntry*>(std::malloc(capacity * sizeof(FlowEntry))));
+  PARA_CHECK(index_ != nullptr && links_ != nullptr && entries_ != nullptr);
+  const auto head = static_cast<uint32_t>(capacity_);
+  links_[head] = Link{head, head, 0};
+}
+
+uint32_t FlowTable::Tag(const FlowKey& key) const {
+  // The endpoints in canonical order, as SymmetricFlowHash orders them, so a
+  // tuple and its reversal share a tag. A key enters before each mixing
+  // multiply, and the tag is the last product's well-mixed high half.
+  uint64_t a = static_cast<uint64_t>(key.src_ip) << 16 | key.src_port;
+  uint64_t b = static_cast<uint64_t>(key.dst_ip) << 16 | key.dst_port;
+  if (a > b) {
+    const uint64_t t = a;
+    a = b;
+    b = t;
+  }
+  uint64_t h = (a ^ key0_) * 0x9E3779B97F4A7C15ull;
+  h ^= h >> 32;
+  h = (h + (b ^ (static_cast<uint64_t>(key.proto) << 48) ^ key1_)) * 0xBF58476D1CE4E5B9ull;
+  return static_cast<uint32_t>(h >> 32);
+}
+
+FlowTable::Slot FlowTable::Lookup(const FlowKey& key, uint32_t tag) {
+  const uint64_t addrs = Addrs(key);
+  const uint64_t ports = Ports(key);
+  const uint64_t reply_addrs = addrs >> 32 | addrs << 32;
+  const uint64_t reply_ports = ((ports >> 16) & 0xFFFF) | ((ports & 0xFFFF) << 16) |
+                               (static_cast<uint64_t>(key.proto) << 32);
+  const size_t home = tag >> shift_;
+  for (size_t i = home;; i = (i + 1) & mask_) {
+    const Bucket bucket = index_[i];
+    if (bucket.ref == 0) {
+      stats_.probes += ((i - home) & mask_) + 1;
+      return Slot{i, kNone, Direction::kForward};
+    }
+    if (bucket.tag != tag) {
+      continue;
+    }
+    const FlowKey& stored = entries_[bucket.ref - 1].key;
+    Direction direction;
+    if (Addrs(stored) == addrs && Ports(stored) == ports) {
+      direction = Direction::kForward;  // first: a self-reversed key is forward
+    } else if (Addrs(stored) == reply_addrs && Ports(stored) == reply_ports) {
+      direction = Direction::kReverse;
+    } else {
+      continue;
+    }
+    stats_.probes += ((i - home) & mask_) + 1;
+    return Slot{i, bucket.ref - 1, direction};
+  }
 }
 
 bool FlowTable::Expired(const FlowEntry& entry) const {
   return ttl_ != 0 && clock_->now() >= entry.last_seen + ttl_;
 }
 
-FlowEntry* FlowTable::Touch(LruList::iterator it) {
-  lru_.splice(lru_.begin(), lru_, it);
-  if (clock_ != nullptr) {
-    it->last_seen = clock_->now();
+void FlowTable::Unlink(uint32_t id) {
+  const Link link = links_[id];
+  links_[link.prev].next = link.next;
+  links_[link.next].prev = link.prev;
+}
+
+void FlowTable::PushFront(uint32_t id) {
+  const auto head = static_cast<uint32_t>(capacity_);
+  const uint32_t first = links_[head].next;
+  links_[id].prev = head;
+  links_[id].next = first;
+  links_[first].prev = id;
+  links_[head].next = id;
+}
+
+void FlowTable::Promote(uint32_t id) {
+  if (links_[capacity_].next != id) {
+    Unlink(id);
+    PushFront(id);
   }
-  return &*it;
+}
+
+void FlowTable::Remove(size_t bucket, uint32_t id) {
+  Unindex(bucket);
+  Unlink(id);
+  links_[id].next = free_;
+  free_ = id;
+  --size_;
+}
+
+size_t FlowTable::Unindex(size_t hole) {
+  miss_.valid = false;
+  for (size_t j = (hole + 1) & mask_; index_[j].ref != 0; j = (j + 1) & mask_) {
+    // The key at j may move into the hole unless its home bucket lies
+    // cyclically in (hole, j]: then the hole is not on its probe path.
+    const size_t home = index_[j].tag >> shift_;
+    if (((j - home) & mask_) >= ((j - hole) & mask_)) {
+      index_[hole] = index_[j];
+      links_[index_[hole].ref - 1].bucket = static_cast<uint32_t>(hole);
+      hole = j;
+    }
+  }
+  index_[hole] = Bucket{0, 0};
+  return hole;
+}
+
+FlowEntry* FlowTable::Establish(uint32_t id, const FlowKey& key, uint64_t verdict,
+                                uint32_t epoch) {
+  return new (&entries_[id])
+      FlowEntry{key, verdict, 0, 0, 0, 0, epoch, clock_ != nullptr ? clock_->now() : 0};
 }
 
 FlowEntry* FlowTable::Find(const FlowKey& key, Direction* direction) {
-  auto lookup = [this](const FlowKey& k) {
-    auto it = map_.find(k);
-    if (it != map_.end() && Expired(*it->second)) {
-      // Idle past the TTL: the flow is gone; reclaim lazily.
-      ++stats_.expirations;
-      lru_.erase(it->second);
-      map_.erase(it);
-      return map_.end();
+  const uint32_t tag = Tag(key);
+  const Slot slot = Lookup(key, tag);
+  if (slot.id == kNone) {
+    // Remembered for the Insert that usually follows a miss: until the
+    // index changes, this key's vacancy is known.
+    miss_ = Miss{key, tag, slot.bucket, true};
+  } else {
+    FlowEntry& entry = entries_[slot.id];
+    if (!Expired(entry)) {
+      ++stats_.hits;
+      if (slot.direction == Direction::kReverse) {
+        ++stats_.reverse_hits;
+      }
+      if (direction != nullptr) {
+        *direction = slot.direction;
+      }
+      Promote(slot.id);
+      if (clock_ != nullptr) {
+        entry.last_seen = clock_->now();
+      }
+      return &entry;
     }
-    return it;
-  };
-
-  auto it = lookup(key);
-  Direction dir = Direction::kForward;
-  if (it == map_.end()) {
-    // Reply traffic carries the reversed tuple; it shares the established
-    // entry rather than establishing (and re-evaluating) its own flow.
-    it = lookup(key.Reversed());
-    dir = Direction::kReverse;
+    // Idle past the TTL: the flow is gone; reclaim lazily.
+    ++stats_.expirations;
+    Remove(slot.bucket, slot.id);
   }
-  if (it == map_.end()) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
-  if (dir == Direction::kReverse) {
-    ++stats_.reverse_hits;
-  }
-  if (direction != nullptr) {
-    *direction = dir;
-  }
-  return Touch(it->second);
+  ++stats_.misses;
+  return nullptr;
 }
 
 FlowEntry* FlowTable::Insert(const FlowKey& key, uint64_t verdict, uint32_t epoch) {
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    // Re-establishment of a known flow: fresh verdict, fresh counters — the
-    // previous generation's traffic (notably the reverse-direction counters,
-    // which the old code leaked) must not be attributed to the new one.
-    FlowEntry* entry = Touch(it->second);
-    entry->verdict = verdict;
-    entry->epoch = epoch;
-    entry->packets = 0;
-    entry->bytes = 0;
-    entry->reverse_packets = 0;
-    entry->reverse_bytes = 0;
-    return entry;
+  uint32_t tag;
+  Slot slot;
+  if (miss_.valid && miss_.key == key) {
+    tag = miss_.tag;
+    slot = Slot{miss_.bucket, kNone, Direction::kForward};
+  } else {
+    tag = Tag(key);
+    slot = Lookup(key, tag);
   }
-  // One entry per conversation: if the reply orientation is already present
-  // (reply-first establishment, or a forward entry that expired and the
-  // conversation is being re-admitted from the other side), replace it. Two
-  // coexisting entries would split the conversation's counters and invert
-  // the directional ones whenever the other entry got the reverse hit.
-  auto reversed = map_.find(key.Reversed());
-  if (reversed != map_.end()) {
-    if (Expired(*reversed->second)) {
-      ++stats_.expirations;
-    } else {
-      ++stats_.reorientations;
+  miss_.valid = false;
+  if (slot.id != kNone) {
+    // Re-establishment of a known conversation: fresh verdict, fresh
+    // counters — the previous generation's traffic (notably the reverse-
+    // direction counters) must not be attributed to the new one. From the
+    // reply side it re-keys the one entry to the new forward orientation
+    // (reply-first establishment, or a forward entry that expired and the
+    // conversation is being re-admitted from the other side): two entries
+    // would split the conversation's counters.
+    if (slot.direction == Direction::kReverse) {
+      if (Expired(entries_[slot.id])) {
+        ++stats_.expirations;
+      } else {
+        ++stats_.reorientations;
+      }
+      ++stats_.inserts;
     }
-    lru_.erase(reversed->second);
-    map_.erase(reversed);
+    Promote(slot.id);
+    return Establish(slot.id, key, verdict, epoch);
   }
-  if (map_.size() >= capacity_) {
+
+  uint32_t id;
+  size_t bucket = slot.bucket;
+  if (size_ < capacity_) {
+    if (free_ != kNone) {
+      id = free_;
+      free_ = links_[id].next;
+    } else {
+      id = used_++;
+    }
+    ++size_;
+  } else {
     // Prefer reclaiming an expired victim over evicting a live flow; the LRU
     // tail is the oldest-idle entry, so if anything has expired, it has.
-    if (Expired(lru_.back())) {
+    id = links_[capacity_].prev;
+    if (Expired(entries_[id])) {
       ++stats_.expirations;
     } else {
       ++stats_.evictions;
     }
-    map_.erase(lru_.back().key);
-    lru_.pop_back();
+    const size_t hole = Unindex(links_[id].bucket);
+    Unlink(id);
+    // The shift empties one bucket. If it lies on this key's probe path,
+    // ahead of the vacancy the lookup found, it is the first one there now.
+    const size_t home = tag >> shift_;
+    if (((hole - home) & mask_) < ((bucket - home) & mask_)) {
+      bucket = hole;
+    }
   }
   ++stats_.inserts;
-  FlowEntry entry;
-  entry.key = key;
-  entry.verdict = verdict;
-  entry.epoch = epoch;
-  entry.last_seen = clock_ != nullptr ? clock_->now() : 0;
-  lru_.push_front(entry);
-  map_.emplace(key, lru_.begin());
-  return &lru_.front();
+  index_[bucket] = Bucket{id + 1, tag};
+  links_[id].bucket = static_cast<uint32_t>(bucket);
+  PushFront(id);
+  return Establish(id, key, verdict, epoch);
 }
 
 bool FlowTable::Erase(const FlowKey& key) {
-  auto it = map_.find(key);
-  if (it == map_.end()) {
+  const Slot slot = Lookup(key, Tag(key));
+  if (slot.id == kNone || slot.direction != Direction::kForward) {
     return false;
   }
-  lru_.erase(it->second);
-  map_.erase(it);
+  Remove(slot.bucket, slot.id);
   return true;
 }
 
 void FlowTable::Clear() {
-  lru_.clear();
-  map_.clear();
+  if (size_ != 0) {
+    std::memset(index_.get(), 0, (mask_ + 1) * sizeof(Bucket));
+  }
+  const auto head = static_cast<uint32_t>(capacity_);
+  links_[head] = Link{head, head, 0};
+  size_ = 0;
+  used_ = 0;
+  free_ = kNone;
+  miss_.valid = false;
 }
 
 }  // namespace para::filter

@@ -1,22 +1,42 @@
 // Stateful connection tracking for the packet filter: a bounded flow table
-// keyed on the (src, dst, sport, dport, proto) 5-tuple with LRU eviction,
-// per-flow counters, reverse-tuple matching, and optional idle expiry on the
-// virtual clock. A flow is recorded when a packet passes the rule set;
-// subsequent packets of the flow — in EITHER direction: reply traffic
-// matches the reversed tuple and shares the established entry — hit the
-// table and skip rule evaluation entirely. Each entry records the rule-set
-// epoch that admitted it, so the filter can tell a fresh verdict from one
-// cached under rules that have since been reloaded (PacketFilter
-// re-evaluates stale-epoch hits unless keep-alive is configured). With a
-// clock and TTL configured, entries idle longer than the TTL expire lazily
-// on the next touch (and expired LRU victims are reclaimed before live ones
-// under pressure).
+// of (src, dst, sport, dport, proto) conversations with exact LRU eviction,
+// per-flow counters, reply-direction matching, and optional idle expiry on
+// the virtual clock. A flow is recorded when a packet passes the rule set;
+// subsequent packets of the flow — in EITHER direction — hit the table and
+// skip rule evaluation entirely. Each entry records the rule-set epoch that
+// admitted it, so the filter can tell a fresh verdict from one cached under
+// rules that have since been reloaded (PacketFilter re-evaluates stale-epoch
+// hits unless keep-alive is configured). With a clock and TTL configured,
+// entries idle longer than the TTL expire lazily on the next touch (and
+// expired LRU victims are reclaimed before live ones under pressure).
+//
+// Storage is three fixed arrays sized by the constructor; nothing allocates
+// after it returns:
+//  - entries, each holding one conversation ONCE, under the 5-tuple of the
+//    packet that established it (its forward direction). Entry storage is
+//    first written when an entry comes into use.
+//  - links: an exact LRU list threaded by 32-bit entry id, each link also
+//    naming its entry's index bucket. Erased ids wait on a free list.
+//  - an open-addressed index of power-of-two size, at most half full, whose
+//    buckets hold an entry id and a 32-bit hash tag. An all-zero bucket is
+//    empty (so a fresh index is calloc's zero pages), and deletion shifts
+//    the rest of the cluster back, so there are no tombstones.
+// The index hash is symmetric — a tuple and its reversal hash alike — so a
+// forward or a reply packet finds its conversation with one probe sequence,
+// and the stored forward key tells which way it matched. A miss remembers
+// where its probe ended, so the Insert that follows it does not probe again,
+// and an eviction reaches its victim's bucket through the victim's link.
+// The hash is keyed by a per-table secret (PacketFilter draws one from the
+// kernel's entropy pool, getrandom(2), for each table), so keys chosen to
+// pile into one probe cluster need the secret, and the home bucket comes
+// from the tag's top bits, never from the unkeyed steering hash
+// (SymmetricFlowHash), whose residue is the same for every key of a shard.
 #ifndef PARAMECIUM_SRC_FILTER_FLOW_TABLE_H_
 #define PARAMECIUM_SRC_FILTER_FLOW_TABLE_H_
 
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <cstdlib>
+#include <memory>
 
 #include "src/base/vclock.h"
 #include "src/net/filter_hook.h"
@@ -36,28 +56,12 @@ struct FlowKey {
   FlowKey Reversed() const { return FlowKey{dst_ip, src_ip, dst_port, src_port, proto}; }
 };
 
-struct FlowKeyHash {
-  size_t operator()(const FlowKey& key) const {
-    // FNV-1a over the packed tuple.
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto mix = [&h](uint64_t v) {
-      h ^= v;
-      h *= 0x100000001b3ull;
-    };
-    mix(static_cast<uint64_t>(key.src_ip) << 32 | key.dst_ip);
-    mix(static_cast<uint64_t>(key.src_port) << 24 | static_cast<uint64_t>(key.dst_port) << 8 |
-        key.proto);
-    return static_cast<size_t>(h);
-  }
-};
-
 // Symmetric 5-tuple hash for shard steering: a conversation and its reply
 // MUST land on the same shard, so the two (addr, port) endpoints are ordered
 // canonically before mixing — SymmetricFlowHash(k) == SymmetricFlowHash(
 // k.Reversed()) for every key, which the property tests enforce over random
-// tuples. Distinct from FlowKeyHash on purpose: the flow map wants forward
-// and reversed tuples in different buckets (it probes both), the steering
-// hash wants them identical.
+// tuples. Unkeyed, so every filter steers alike; the flow table's index
+// uses its own keyed hash.
 inline uint64_t SymmetricFlowHash(const FlowKey& key) {
   uint64_t a = static_cast<uint64_t>(key.src_ip) << 16 | key.src_port;
   uint64_t b = static_cast<uint64_t>(key.dst_ip) << 16 | key.dst_port;
@@ -97,19 +101,30 @@ struct FlowTableStats {
   uint64_t evictions = 0;
   uint64_t expirations = 0;    // TTL reclamations (lazy or under pressure)
   uint64_t reorientations = 0; // live reversed entry replaced by a re-establishment
+  uint64_t probes = 0;         // index buckets visited by key lookups
 };
+
+// The largest table a FlowTable (and a PacketFilter's total flow_capacity)
+// may have. Entry ids are 32 bits and the index is sized at construction,
+// so the bound also caps the up-front reservation at ~1.5 GiB of address
+// space (touched only as entries come into use).
+inline constexpr size_t kMaxFlowCapacity = size_t{1} << 24;
 
 class FlowTable {
  public:
   // `clock` + `ttl` enable idle expiry: an entry untouched for `ttl` virtual
   // nanoseconds is dead. ttl == 0 (or a null clock) disables expiry.
-  explicit FlowTable(size_t capacity, const VirtualClock* clock = nullptr, VTime ttl = 0);
+  // `secret` keys the index hash; lookups, eviction order and every counter
+  // but `probes` are the same under any secret. Requires 0 < capacity <=
+  // kMaxFlowCapacity.
+  explicit FlowTable(size_t capacity, const VirtualClock* clock = nullptr, VTime ttl = 0,
+                     uint64_t secret = 0);
 
   // Direction of the match Find() returns.
   enum class Direction : uint8_t { kForward, kReverse };
 
-  // Looks up a flow by exact 5-tuple first, then by the reversed tuple (the
-  // reply direction), and on hit promotes it to most-recently-used and
+  // Looks up the conversation `key` belongs to, as sent (forward) or as its
+  // reply (reverse), and on hit promotes it to most-recently-used and
   // refreshes its idle timer. `direction`, if non-null, reports which way
   // matched. Expired entries are reclaimed here and report as misses. The
   // returned pointer is valid until the next Insert/Erase/Clear.
@@ -119,29 +134,82 @@ class FlowTable {
   // evicting the live LRU entry — when at capacity. Returns the new entry
   // with all traffic counters reset: establishment starts a fresh
   // generation. At most one entry per conversation: inserting a key whose
-  // *reversed* tuple is present replaces that entry (the new establishment
-  // defines the forward direction) instead of growing an inverted twin.
+  // *reversed* tuple is present re-keys that entry in place (the new
+  // establishment defines the forward direction) instead of growing an
+  // inverted twin.
   FlowEntry* Insert(const FlowKey& key, uint64_t verdict, uint32_t epoch);
 
+  // Erases the flow established as `key` (its forward tuple).
   bool Erase(const FlowKey& key);
   void Clear();
 
-  size_t size() const { return map_.size(); }
+  size_t size() const { return size_; }
   size_t capacity() const { return capacity_; }
   VTime ttl() const { return ttl_; }
   const FlowTableStats& stats() const { return stats_; }
 
  private:
-  using LruList = std::list<FlowEntry>;
+  static constexpr uint32_t kNone = ~uint32_t{0};
 
+  // ref = entry id + 1, so the all-zero bucket is the empty one.
+  struct Bucket {
+    uint32_t ref;
+    uint32_t tag;
+  };
+  struct Link {
+    uint32_t prev;
+    uint32_t next;
+    uint32_t bucket;  // where the entry's index bucket is
+  };
+  struct Free {
+    void operator()(void* p) const { std::free(p); }
+  };
+
+  // Where a lookup ended: the bucket holding the match (id != kNone), or
+  // the first empty bucket of the probe sequence.
+  struct Slot {
+    size_t bucket;
+    uint32_t id;
+    Direction direction;
+  };
+  // The last Find miss, valid until the index next changes.
+  struct Miss {
+    FlowKey key;
+    uint32_t tag = 0;
+    size_t bucket = 0;
+    bool valid = false;
+  };
+
+  [[gnu::always_inline]] inline uint32_t Tag(const FlowKey& key) const;
+  // Probes from `tag`'s home bucket for `key`'s conversation, as sent or as
+  // its reply, counting the buckets it visits.
+  [[gnu::always_inline]] inline Slot Lookup(const FlowKey& key, uint32_t tag);
   bool Expired(const FlowEntry& entry) const;
-  FlowEntry* Touch(LruList::iterator it);
+  void Unlink(uint32_t id);
+  void PushFront(uint32_t id);
+  void Promote(uint32_t id);  // to most-recently-used
+  // Unindexes, unlinks and frees entry `id`, indexed at `bucket`.
+  void Remove(size_t bucket, uint32_t id);
+  // Drops the index bucket at `bucket`, shifting the rest of its cluster
+  // back so every remaining key stays reachable from its home bucket.
+  // Returns the bucket the shift leaves empty.
+  size_t Unindex(size_t bucket);
+  FlowEntry* Establish(uint32_t id, const FlowKey& key, uint64_t verdict, uint32_t epoch);
 
   size_t capacity_;
   const VirtualClock* clock_;
   VTime ttl_;
-  LruList lru_;  // front = most recently used
-  std::unordered_map<FlowKey, LruList::iterator, FlowKeyHash> map_;
+  uint64_t key0_;
+  uint64_t key1_;
+  size_t mask_;     // index buckets - 1
+  unsigned shift_;  // home bucket = tag >> shift_
+  size_t size_ = 0;
+  uint32_t used_ = 0;      // ids below this have been written at least once
+  uint32_t free_ = kNone;  // erased ids, chained through links_[id].next
+  Miss miss_;
+  std::unique_ptr<Bucket[], Free> index_;
+  std::unique_ptr<Link[], Free> links_;  // [capacity_] heads the LRU ring: next = MRU
+  std::unique_ptr<FlowEntry[], Free> entries_;
   FlowTableStats stats_;
 };
 

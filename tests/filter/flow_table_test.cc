@@ -2,8 +2,10 @@
 // pressure, and the per-flow counters the stateful filter relies on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "src/base/random.h"
 #include "src/filter/flow_table.h"
 
 namespace para::filter {
@@ -272,6 +274,84 @@ TEST(FlowTableTest, CountersAccumulatePerFlow) {
   }
   EXPECT_EQ(table.Find(Key(7))->packets, 4u);
   EXPECT_EQ(table.Find(Key(7))->bytes, 400u);
+}
+
+// --- collision flood: the index hash is keyed ------------------------------
+
+// Probes one Find of `key` costs `table`.
+uint64_t ProbesOfFind(FlowTable& table, const FlowKey& key) {
+  const uint64_t before = table.stats().probes;
+  table.Find(key);
+  return table.stats().probes - before;
+}
+
+TEST(FlowTableTest, CollisionFloodNeedsTheSecret) {
+  // An attacker who knows secret A builds keys that all share one home
+  // bucket in A's index. Found black-box: with one resident key, a miss
+  // whose home bucket is that key's probes twice (occupied, then empty)
+  // and any other miss probes once.
+  constexpr uint64_t kSecretA = 0x5EC12E7A;
+  constexpr uint64_t kSecretB = 0x0DDBA11;
+  constexpr size_t kCapacity = 1024;  // 2048 buckets
+  constexpr size_t kFloodKeys = 256;
+  auto source_key = [](uint64_t bits) {
+    return FlowKey{static_cast<net::IpAddr>(bits >> 16), 0xC0A80001,
+                   static_cast<net::Port>(bits), 80, 17};
+  };
+  std::vector<FlowKey> flood{source_key(0x0A0000010400)};
+  {
+    FlowTable probe(kCapacity, nullptr, 0, kSecretA);
+    probe.Insert(flood[0], 1, 1);
+    Random rng(7);
+    while (flood.size() < kFloodKeys) {
+      const FlowKey candidate = source_key(rng.Next());
+      if (ProbesOfFind(probe, candidate) == 2) {
+        flood.push_back(candidate);
+      }
+    }
+  }
+
+  // Under A the keys form one cluster: finding the i-th probes ~i buckets.
+  FlowTable keyed_a(kCapacity, nullptr, 0, kSecretA);
+  FlowTable keyed_b(kCapacity, nullptr, 0, kSecretB);
+  for (const FlowKey& key : flood) {
+    keyed_a.Insert(key, 1, 1);
+    keyed_b.Insert(key, 1, 1);
+  }
+  uint64_t total_a = 0;
+  uint64_t total_b = 0;
+  uint64_t longest_b = 0;
+  for (const FlowKey& key : flood) {
+    total_a += ProbesOfFind(keyed_a, key);
+    const uint64_t b = ProbesOfFind(keyed_b, key);
+    total_b += b;
+    longest_b = std::max(longest_b, b);
+  }
+  EXPECT_EQ(keyed_a.stats().hits, kFloodKeys);
+  EXPECT_EQ(keyed_b.stats().hits, kFloodKeys);
+  const double mean_a = static_cast<double>(total_a) / kFloodKeys;
+  const double mean_b = static_cast<double>(total_b) / kFloodKeys;
+  EXPECT_GE(mean_a, kFloodKeys / 4.0) << "the flood did not collide under its own secret";
+  // Another secret scatters the same keys over a 1/8-full index: no Find
+  // walks more than 8 buckets (it walks 256 under A).
+  EXPECT_LE(mean_b, 2.0);
+  EXPECT_LE(longest_b, 8u);
+}
+
+TEST(FlowTableTest, OneProbePerConversation) {
+  // One conversation in an empty index sits in its home bucket, which both
+  // orientations hash to: a miss visits one bucket, the Insert after it
+  // reuses that probe, and a forward or a reply hit visits one bucket each.
+  FlowTable table(4);
+  EXPECT_EQ(table.stats().probes, 0u);
+  EXPECT_EQ(table.Find(Key(1)), nullptr);
+  EXPECT_EQ(table.stats().probes, 1u);
+  table.Insert(Key(1), 1, 1);
+  EXPECT_EQ(table.stats().probes, 1u);
+  ASSERT_NE(table.Find(Key(1).Reversed()), nullptr);
+  EXPECT_EQ(table.stats().probes, 2u);
+  ASSERT_NE(table.Find(Key(1)), nullptr);
+  EXPECT_EQ(table.stats().probes, 3u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // stopping the data plane.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -134,7 +135,62 @@ TEST(ShardedFilterTest, MergedStatsAndFlowsSumOverShards) {
   EXPECT_EQ(filter->flow_count(), expected_pass);
 }
 
+TEST(ShardedFilterTest, RejectsFlowCapacityTheIndexCannotHold) {
+  // The per-shard split of a huge capacity used to wrap to zero and abort
+  // inside FlowTable; now any capacity past kMaxFlowCapacity is an error at
+  // every shard count, before anything is allocated.
+  for (const size_t shards : {1u, 2u, 4u}) {
+    for (const size_t capacity : {SIZE_MAX, kMaxFlowCapacity + 1}) {
+      FilterConfig config;
+      config.shards = shards;
+      config.flow_capacity = capacity;
+      auto filter = PacketFilter::Create(config);
+      ASSERT_FALSE(filter.ok()) << shards << " shards, capacity " << capacity;
+      EXPECT_EQ(filter.status().code(), ErrorCode::kInvalidArgument);
+    }
+  }
+}
+
+TEST(ShardedFilterTest, FlowCapacitySplitRoundsUpPerShard) {
+  FilterConfig config;
+  config.shards = 4;
+  config.flow_capacity = 10;
+  auto filter = PacketFilter::Create(config);
+  ASSERT_TRUE(filter.ok());
+  for (size_t s = 0; s < 4; ++s) {
+    EXPECT_EQ((*filter)->flows(s).capacity(), 3u) << "shard " << s;
+  }
+}
+
 #if !defined(PARA_NO_TELEMETRY)
+TEST(ShardedFilterTest, TelemetryExportsMergedFlowProbes) {
+  FilterConfig config;
+  config.shards = 4;
+  config.name = "shardprobes";
+  auto filter = PacketFilter::Create(config);
+  ASSERT_TRUE(filter.ok());
+  para::Random rng(0x9B0);
+  for (int i = 0; i < 64; ++i) {
+    (*filter)->Evaluate(MakeView(rng.Next32(), rng.Next32(),
+                                 static_cast<uint16_t>(rng.Next32()), 80),
+                        FilterDirection::kIngress);
+  }
+  uint64_t probes = 0;
+  for (size_t s = 0; s < (*filter)->shard_count(); ++s) {
+    probes += (*filter)->flows(s).stats().probes;
+  }
+  // Every packet is a new flow: its miss visits at least one bucket.
+  EXPECT_GE(probes, 64u);
+  bool found = false;
+  for (const auto& metric : telemetry::Registry::Get().TakeSnapshot().metrics) {
+    if (metric.name == "filter.shardprobes.flow.probes") {
+      EXPECT_EQ(metric.value, probes);
+      found = true;
+    }
+  }
+  EXPECT_TRUE(found) << "flow.probes alias not registered";
+}
+
 TEST(ShardedFilterTest, TelemetryAliasesExportMergedShardCounters) {
   if constexpr (!telemetry::kEnabled) {
     GTEST_SKIP() << "telemetry compiled out";
