@@ -8,7 +8,16 @@
 //
 // Rows to reproduce: raw call-back < proto-thread (non-blocking) << full
 // thread creation ≈ proto-thread that blocks (promotion).
+//
+// Underneath them all is the fiber switch: BM_FiberSwitchRoundTrip times
+// two Fiber::SwitchFrom calls, and BM_SwapcontextRoundTrip the same
+// ping-pong through glibc swapcontext — a reference row only, since the
+// x86-64 Fiber no longer calls it.
 #include <benchmark/benchmark.h>
+#include <ucontext.h>
+
+#include <memory>
+#include <vector>
 
 #include "src/hw/machine.h"
 #include "src/hw/timer.h"
@@ -129,12 +138,48 @@ void BM_ContextSwitchThroughput(benchmark::State& state) {
   state.counters["switches_per_iter"] = 2.0 * kYields;
 }
 
+void BM_FiberSwitchRoundTrip(benchmark::State& state) {
+  threads::Fiber main;
+  std::unique_ptr<threads::Fiber> peer;
+  peer = std::make_unique<threads::Fiber>([&] {
+    for (;;) {
+      main.SwitchFrom(peer.get());
+    }
+  });
+  for (auto _ : state) {
+    peer->SwitchFrom(&main);
+  }
+}
+
+ucontext_t swap_main;
+ucontext_t swap_peer;
+
+void SwapcontextPeer() {
+  for (;;) {
+    swapcontext(&swap_peer, &swap_main);
+  }
+}
+
+void BM_SwapcontextRoundTrip(benchmark::State& state) {
+  std::vector<uint8_t> stack(threads::Fiber::kDefaultStackSize);
+  getcontext(&swap_peer);
+  swap_peer.uc_stack.ss_sp = stack.data();
+  swap_peer.uc_stack.ss_size = stack.size();
+  swap_peer.uc_link = nullptr;
+  makecontext(&swap_peer, &SwapcontextPeer, 0);
+  for (auto _ : state) {
+    swapcontext(&swap_main, &swap_peer);
+  }
+}
+
 BENCHMARK(BM_DispatchRawCallback);
 BENCHMARK(BM_DispatchProtoThreadNonBlocking);
 BENCHMARK(BM_DispatchFullThread);
 BENCHMARK(BM_DispatchProtoThreadBlocking);
 BENCHMARK(BM_InterruptRateSweep)->Arg(100)->Arg(1000)->Arg(10000);
 BENCHMARK(BM_ContextSwitchThroughput);
+BENCHMARK(BM_FiberSwitchRoundTrip);
+BENCHMARK(BM_SwapcontextRoundTrip);
 
 }  // namespace
 

@@ -90,7 +90,11 @@ void NetDriver::OnRxInterrupt() {
     if (!vmem_->ReadIo(home_, buffer_ + hw::NetworkDevice::kRxAreaOffset, frame).ok()) {
       return;
     }
-    if (frame_filter_ != nullptr && !frame_filter_(frame)) {
+    if (frame.empty()) {
+      // PollRecv's 0 means "queue empty", so a queued empty frame would stop
+      // a consumer short of the frames behind it.
+      ++frames_empty_;
+    } else if (frame_filter_ != nullptr && !frame_filter_(frame)) {
       ++frames_filtered_;
     } else {
       rx_frames_.push_back(std::move(frame));

@@ -43,6 +43,8 @@ class NetDriver : public obj::Object {
   const hw::NetworkDevice& device() const { return *device_; }
   uint64_t rx_frames_buffered() const { return rx_frames_.size(); }
   uint64_t frames_filtered() const { return frames_filtered_; }
+  // Zero-length frames the device delivered; RX acks and discards them.
+  uint64_t frames_empty() const { return frames_empty_; }
 
   // Driver-level frame filter, applied on TX before the frame is staged and
   // on RX before a frame enters the driver queue. Filtered frames are
@@ -77,6 +79,7 @@ class NetDriver : public obj::Object {
   std::array<uint8_t, hw::NetworkDevice::kMaxFrame> tx_frame_{};  // Send's payload staging
   net::RawFrameHook frame_filter_;
   uint64_t frames_filtered_ = 0;
+  uint64_t frames_empty_ = 0;
   uint64_t invocations_ = 0;
   // Aliases over the device's counters and this driver's tallies — declared
   // last so they unregister before the fields/device pointer die.
@@ -96,6 +99,7 @@ inline constexpr NetDriverStatsSlot kNetDriverStatsSlots[] = {
     {"frames_received", [](const NetDriver& d) { return d.device().frames_received(); }},  // 1
     {"frames_dropped", [](const NetDriver& d) { return d.device().frames_dropped(); }},    // 2
     {"frames_filtered", [](const NetDriver& d) { return d.frames_filtered(); }},           // 3
+    {"frames_empty", [](const NetDriver& d) { return d.frames_empty(); }},                 // 4
 };
 
 }  // namespace para::components

@@ -1,6 +1,6 @@
 #include "src/hw/netdev.h"
 
-#include <cstring>
+#include <algorithm>
 
 #include "src/base/log.h"
 #include "src/hw/machine.h"
@@ -29,7 +29,8 @@ void NetworkDevice::WriteReg(size_t offset, uint32_t value) {
       }
       size_t len = std::min<size_t>(value, kMaxFrame);
       Frame frame(len);
-      std::memcpy(frame.data(), device_buffer().data() + kTxAreaOffset, len);
+      // copy_n, not memcpy: an empty frame's data() may be null.
+      std::copy_n(device_buffer().data() + kTxAreaOffset, len, frame.data());
       ++frames_sent_;
       link_->Transmit(endpoint_, std::move(frame), machine_->clock().now());
       return;
@@ -70,7 +71,7 @@ void NetworkDevice::PumpRx() {
   Frame frame = std::move(rx_queue_.front());
   rx_queue_.pop_front();
   size_t len = std::min(frame.size(), kMaxFrame);
-  std::memcpy(device_buffer().data() + kRxAreaOffset, frame.data(), len);
+  std::copy_n(frame.data(), len, device_buffer().data() + kRxAreaOffset);
   rx_area_full_ = true;
   ++frames_received_;
   PokeReg(kRegRxLen, static_cast<uint32_t>(len));

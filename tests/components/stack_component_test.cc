@@ -178,6 +178,48 @@ TEST_F(StackComponentTest, RecvOnEmptyPortReturnsZero) {
   EXPECT_EQ((*iface)->Invoke(2, 80, *buf, nucleus::kPageSize), 0u);
 }
 
+TEST_F(StackComponentTest, ZeroLengthFramesDoNotStrandFramesBehindThem) {
+  auto* kernel = nucleus_->kernel_context();
+  auto tx = StackComponent::Create(Deps(), kernel, "/shared/net0",
+                                   net::StackConfig{0xAAAA, 0x0A000001});
+  auto rx = StackComponent::Create(Deps(), kernel, "/shared/net1",
+                                   net::StackConfig{0xBBBB, 0x0A000002});
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE(rx.ok());
+  (*tx)->stack().AddNeighbor(0x0A000002, 0xBBBB);
+  auto siface = (*tx)->GetInterface(StackType()->name());
+  auto riface = (*rx)->GetInterface(StackType()->name());
+  auto driver = driver_a_->GetInterface(NetDriverType()->name());
+  ASSERT_TRUE(siface.ok());
+  ASSERT_TRUE(riface.ok());
+  ASSERT_TRUE(driver.ok());
+  ASSERT_EQ((*riface)->Invoke(1, 80), 0u);  // bind_port
+
+  // With interrupts off, the receiver's device queues two empty frames from
+  // the peer's driver and then one datagram.
+  const std::string text = "behind the empty frames";
+  auto buf = nucleus_->vmem().AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  ASSERT_TRUE(buf.ok());
+  std::span<const uint8_t> payload(reinterpret_cast<const uint8_t*>(text.data()), text.size());
+  ASSERT_TRUE(nucleus_->vmem().Write(kernel, *buf, payload).ok());
+  machine_.irq().DisableInterrupts();
+  EXPECT_EQ((*driver)->Invoke(0, *buf, 0), 0u);  // send, zero length
+  EXPECT_EQ((*driver)->Invoke(0, *buf, 0), 0u);
+  const uint64_t ports = (uint64_t{9999} << 16) | 80;
+  EXPECT_EQ((*siface)->Invoke(0, 0x0A000002, ports, *buf, text.size()), 0u);
+  machine_.Advance(500);
+  machine_.irq().EnableInterrupts();
+  Settle();
+
+  // The datagram arrives without any later frame to push it along.
+  EXPECT_EQ(driver_b_->rx_frames_buffered(), 0u);
+  EXPECT_EQ(driver_b_->frames_empty(), 2u);
+  auto rbuf = nucleus_->vmem().AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  ASSERT_TRUE(rbuf.ok());
+  EXPECT_EQ((*riface)->Invoke(2, 80, *rbuf, nucleus::kPageSize), text.size());
+  EXPECT_EQ((*rx)->stack().stats().datagrams_in, 1u);
+}
+
 TEST_F(StackComponentTest, MissingDriverPathFails) {
   auto stack = StackComponent::Create(Deps(), nucleus_->kernel_context(), "/shared/ghost",
                                       net::StackConfig{0xAAAA, 0x0A000001});
