@@ -26,6 +26,12 @@
 # counter is 1), the gate also REQUIRES the current row to have run on the
 # JIT: a silent fallback to the threaded loop fails the gate rather than
 # being papered over by machine-scale normalization.
+# One more gate needs no baseline at all: on an x86-64 host with PCLMULQDQ,
+# BM_Crc32/1326 (the FCS as dispatched, the carry-less-multiply fold) must
+# run at least 4x faster than BM_Crc32Sliced/1326 (the portable loop) in the
+# same process (~10x measured). A ratio of two rows of one run cannot flip
+# with machine speed, and it catches a broken CPUID dispatch, which no
+# correctness test can see because both paths give the same CRC.
 # Usage: scripts/smoke-bench.sh <build-dir>
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -95,11 +101,48 @@ for bench in bench_invocation bench_proxy bench_events bench_filter bench_sfi \
   fi
 done
 
-# --- trusted null-dispatch regression gate ----------------------------------
-SFI_BASELINE="bench-baseline/BENCH_sfi_after.json"
+SMOKE_CRC_JSON="$(mktemp /tmp/smoke_crc.XXXXXX.json)"
 SMOKE_SFI_JSON="$(mktemp /tmp/smoke_sfi.XXXXXX.json)"
 SMOKE_FILTER_JSON="$(mktemp /tmp/smoke_filter.XXXXXX.json)"
-trap 'rm -f "${SMOKE_SFI_JSON}" "${SMOKE_FILTER_JSON}"' EXIT
+trap 'rm -f "${SMOKE_CRC_JSON}" "${SMOKE_SFI_JSON}" "${SMOKE_FILTER_JSON}"' EXIT
+
+# --- FCS dispatch gate (same-process ratio, no baseline) ---------------------
+if [[ "$(uname -m)" != "x86_64" ]] || ! grep -qw pclmulqdq /proc/cpuinfo; then
+  echo "smoke-bench: FCS dispatch gate skipped (host is not x86-64 with pclmulqdq)"
+elif ! command -v python3 >/dev/null 2>&1; then
+  echo "smoke-bench: FCS dispatch gate skipped (no python3)"
+else
+  "${BUILD_DIR}/bench/bench_protocol_placement" \
+    --benchmark_filter='^BM_Crc32(Sliced)?/1326$' --benchmark_repetitions=5 \
+    --benchmark_out="${SMOKE_CRC_JSON}" --benchmark_out_format=json >/dev/null
+  python3 - "${SMOKE_CRC_JSON}" <<'PY'
+import json
+import statistics
+import sys
+
+rows = [b for b in json.load(open(sys.argv[1]))["benchmarks"]
+        if b.get("run_type", "iteration") == "iteration"]
+
+def stats(name):
+    times = [b["real_time"] for b in rows if b["name"] == name]
+    if len(times) < 2:
+        raise SystemExit(f"smoke-bench: {name} missing from the run")
+    return statistics.median(times), statistics.stdev(times) / statistics.mean(times)
+
+folded, folded_cv = stats("BM_Crc32/1326")
+sliced, sliced_cv = stats("BM_Crc32Sliced/1326")
+ratio = sliced / folded
+verdict = "OK" if ratio >= 4.0 else "FALLBACK"
+print(f"smoke-bench gate: BM_Crc32/1326 {folded:.1f}ns (cv {folded_cv:.1%}) vs "
+      f"BM_Crc32Sliced/1326 {sliced:.1f}ns (cv {sliced_cv:.1%}): "
+      f"{ratio:.1f}x, need >= 4.0x -> {verdict}")
+if ratio < 4.0:
+    raise SystemExit("smoke-bench: Crc32 is not running the PCLMULQDQ fold on a host that has it")
+PY
+fi
+
+# --- trusted null-dispatch regression gate ----------------------------------
+SFI_BASELINE="bench-baseline/BENCH_sfi_after.json"
 if [[ -f "${SFI_BASELINE}" ]] && command -v python3 >/dev/null 2>&1; then
   "${BUILD_DIR}/bench/bench_sfi" \
     --benchmark_filter='^(BM_SfiNullTrusted|BM_SfiFieldCheckTrusted/256|BM_SfiFieldCheckSandboxed(Threaded)?/256|BM_SfiCalibrate)$' \

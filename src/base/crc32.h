@@ -1,12 +1,20 @@
 // CRC-32 (IEEE 802.3 polynomial). Used as the frame check sequence of the
 // simulated network link and as a cheap integrity check on component images.
 //
-// Computed slicing-by-8: eight 256-entry tables fold eight input bytes per
-// step, and a one-table loop finishes the tail. The result is bit-identical
-// to the classic bytewise CRC for every input and every split of an
-// incremental computation, so neither the wire FCS nor the repository image
-// format depends on which loop produced it. Portable C++: words are built
-// from bytes, with no alignment requirement on the input.
+// What runs where:
+//  * On x86-64 hosts whose CPUID reports PCLMULQDQ, Crc32Update runs a
+//    carry-less-multiply fold over the largest multiple of 16 bytes (64 bytes
+//    per step while 64 remain, then 16, then a Barrett reduction) and
+//    Crc32UpdateSliced finishes the tail of up to 15 bytes. The fold is
+//    compiled for that one instruction set extension alone and chosen at run
+//    time, so the build needs no -m or -march flag.
+//  * Every other host, and inputs under 16 bytes, run Crc32UpdateSliced:
+//    slicing-by-8, eight 256-entry tables folding eight bytes per step, in
+//    portable C++ with no alignment requirement on the input. It stays
+//    because it is the only code those hosts have.
+// Both give results bit-identical to the classic bytewise CRC for every
+// input and every split of an incremental computation, so neither the wire
+// FCS nor the repository image format depends on which code produced it.
 #ifndef PARAMECIUM_SRC_BASE_CRC32_H_
 #define PARAMECIUM_SRC_BASE_CRC32_H_
 
@@ -25,6 +33,10 @@ uint32_t Crc32(std::span<const uint8_t> data);
 uint32_t Crc32Init();
 uint32_t Crc32Update(uint32_t crc, std::span<const uint8_t> data);
 uint32_t Crc32Final(uint32_t crc);
+
+// The portable slicing-by-8 loop alone, with Crc32Update's contract. Public
+// so tests and benches reach it on hosts where Crc32Update folds.
+uint32_t Crc32UpdateSliced(uint32_t crc, std::span<const uint8_t> data);
 
 }  // namespace para
 

@@ -20,7 +20,7 @@ namespace para::components {
 //   3 irq_event()                         -> event number for RX interrupts
 //   4 set_rx_irq(enable)                  -> 0
 //   5 stats(index)                        -> counter (0 tx, 1 rx, 2 dropped,
-//                                            3 filtered by the frame hook,
+//                                            3 reserved, reads 0,
 //                                            4 empty frames discarded on RX)
 const obj::TypeInfo* NetDriverType();
 

@@ -14,6 +14,9 @@ NetDriver::NetDriver(nucleus::VirtualMemoryService* vmem, nucleus::EventService*
                      hw::NetworkDevice* device, nucleus::Context* home)
     : vmem_(vmem), events_(events), device_(device), home_(home) {
   for (const NetDriverStatsSlot& slot : kNetDriverStatsSlots) {
+    if (slot.read == nullptr) {
+      continue;
+    }
     metrics_.Fn("components.net_driver." + std::string(slot.name),
                 [this, read = slot.read] { return read(*this); }, telemetry::MetricKind::kCounter);
   }
@@ -94,8 +97,6 @@ void NetDriver::OnRxInterrupt() {
       // PollRecv's 0 means "queue empty", so a queued empty frame would stop
       // a consumer short of the frames behind it.
       ++frames_empty_;
-    } else if (frame_filter_ != nullptr && !frame_filter_(frame)) {
-      ++frames_filtered_;
     } else {
       rx_frames_.push_back(std::move(frame));
     }
@@ -115,10 +116,6 @@ uint64_t NetDriver::Send(uint64_t payload_vaddr, uint64_t len, uint64_t, uint64_
   std::span<uint8_t> payload(tx_frame_.data(), len);
   if (!vmem_->Read(home_, payload_vaddr, payload).ok()) {
     return ~uint64_t{0};
-  }
-  if (frame_filter_ != nullptr && !frame_filter_(payload)) {
-    ++frames_filtered_;
-    return 0;  // silently dropped, as a NIC filter would
   }
   if (!vmem_->WriteIo(home_, buffer_ + hw::NetworkDevice::kTxAreaOffset, payload).ok()) {
     return ~uint64_t{0};
@@ -169,7 +166,10 @@ uint64_t NetDriver::SetRxIrq(uint64_t enable, uint64_t, uint64_t, uint64_t) {
 }
 
 uint64_t NetDriver::Stats(uint64_t index, uint64_t, uint64_t, uint64_t) {
-  return index < std::size(kNetDriverStatsSlots) ? kNetDriverStatsSlots[index].read(*this) : 0;
+  if (index >= std::size(kNetDriverStatsSlots) || kNetDriverStatsSlots[index].read == nullptr) {
+    return 0;
+  }
+  return kNetDriverStatsSlots[index].read(*this);
 }
 
 uint64_t NetDriver::Invocations(uint64_t, uint64_t, uint64_t, uint64_t) {

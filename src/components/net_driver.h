@@ -21,7 +21,6 @@
 #include "src/base/telemetry.h"
 #include "src/components/interfaces.h"
 #include "src/hw/netdev.h"
-#include "src/net/filter_hook.h"
 #include "src/nucleus/event.h"
 #include "src/nucleus/vmem.h"
 #include "src/obj/object.h"
@@ -42,14 +41,8 @@ class NetDriver : public obj::Object {
   nucleus::Context* home() const { return home_; }
   const hw::NetworkDevice& device() const { return *device_; }
   uint64_t rx_frames_buffered() const { return rx_frames_.size(); }
-  uint64_t frames_filtered() const { return frames_filtered_; }
   // Zero-length frames the device delivered; RX acks and discards them.
   uint64_t frames_empty() const { return frames_empty_; }
-
-  // Driver-level frame filter, applied on TX before the frame is staged and
-  // on RX before a frame enters the driver queue. Filtered frames are
-  // silently dropped (and counted), like a NIC-offloaded filter would.
-  void SetFrameFilter(net::RawFrameHook hook) { frame_filter_ = std::move(hook); }
 
   // Method implementations (uniform convention; see interfaces.h).
   uint64_t Send(uint64_t payload_vaddr, uint64_t len, uint64_t, uint64_t);
@@ -77,8 +70,6 @@ class NetDriver : public obj::Object {
   uint64_t event_registration_ = 0;
   std::deque<std::vector<uint8_t>> rx_frames_;  // driver-side RX queue
   std::array<uint8_t, hw::NetworkDevice::kMaxFrame> tx_frame_{};  // Send's payload staging
-  net::RawFrameHook frame_filter_;
-  uint64_t frames_filtered_ = 0;
   uint64_t frames_empty_ = 0;
   uint64_t invocations_ = 0;
   // Aliases over the device's counters and this driver's tallies — declared
@@ -89,7 +80,9 @@ class NetDriver : public obj::Object {
 // NetDriverType's stats(index) slots, in index order — the single source of
 // truth that the numbered slots, the `components.net_driver.<name>` registry
 // metrics and the slot-map test all derive from. The device's counters sit
-// behind its accessors, so each slot is a reader rather than a field.
+// behind its accessors, so each slot is a reader rather than a field. A
+// retired slot keeps its number with an empty name and no reader: it reads 0
+// and registers no metric.
 struct NetDriverStatsSlot {
   std::string_view name;
   uint64_t (*read)(const NetDriver& driver);
@@ -98,7 +91,7 @@ inline constexpr NetDriverStatsSlot kNetDriverStatsSlots[] = {
     {"frames_sent", [](const NetDriver& d) { return d.device().frames_sent(); }},          // 0
     {"frames_received", [](const NetDriver& d) { return d.device().frames_received(); }},  // 1
     {"frames_dropped", [](const NetDriver& d) { return d.device().frames_dropped(); }},    // 2
-    {"frames_filtered", [](const NetDriver& d) { return d.frames_filtered(); }},           // 3
+    {"", nullptr},                                                                         // 3
     {"frames_empty", [](const NetDriver& d) { return d.frames_empty(); }},                 // 4
 };
 

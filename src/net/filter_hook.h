@@ -84,9 +84,6 @@ using FilterHook = std::function<FilterDecision(const PacketView&, FilterDirecti
 using FilterBatchHook = std::function<void(std::span<const PacketView> views, FilterDirection,
                                            std::span<FilterDecision> decisions)>;
 
-// Raw frame-level hook for drivers: return false to drop the frame.
-using RawFrameHook = std::function<bool(std::span<const uint8_t> frame)>;
-
 }  // namespace para::net
 
 #endif  // PARAMECIUM_SRC_NET_FILTER_HOOK_H_

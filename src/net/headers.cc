@@ -1,5 +1,8 @@
 #include "src/net/headers.h"
 
+#include <bit>
+#include <cstring>
+
 #include "src/base/crc32.h"
 
 namespace para::net {
@@ -69,18 +72,38 @@ Result<EthHeader> EthDecap(std::span<const uint8_t>& frame) {
 }
 
 uint16_t InternetChecksum(std::span<const uint8_t> data) {
-  uint32_t sum = 0;
-  size_t i = 0;
-  for (; i + 1 < data.size(); i += 2) {
-    sum += static_cast<uint32_t>((data[i] << 8) | data[i + 1]);
+  // RFC 1071 §2(B): the ones'-complement sum does not depend on byte order,
+  // so sum host-order words and swap the folded sum into network order. The
+  // 64-bit accumulator cannot carry out before 2^32 words.
+  const uint8_t* p = data.data();
+  size_t len = data.size();
+  uint64_t sum = 0;
+  for (; len >= 4; p += 4, len -= 4) {
+    uint32_t word = 0;
+    std::memcpy(&word, p, sizeof(word));
+    sum += word;
   }
-  if (i < data.size()) {
-    sum += static_cast<uint32_t>(data[i] << 8);
+  if (len >= 2) {
+    uint16_t half = 0;
+    std::memcpy(&half, p, sizeof(half));
+    sum += half;
+    p += 2;
+    len -= 2;
   }
-  while (sum >> 16) {
-    sum = (sum & 0xFFFF) + (sum >> 16);
+  if (len == 1) {
+    // An odd last byte is the high byte of a zero-padded wire word.
+    sum += std::endian::native == std::endian::little ? uint32_t{*p} : uint32_t{*p} << 8;
   }
-  return static_cast<uint16_t>(~sum);
+  // Fold to 16 bits, adding each carry back in.
+  sum = (sum & 0xFFFF'FFFF) + (sum >> 32);
+  sum = (sum & 0xFFFF'FFFF) + (sum >> 32);
+  sum = (sum & 0xFFFF) + (sum >> 16);
+  sum = (sum & 0xFFFF) + (sum >> 16);
+  auto folded = static_cast<uint16_t>(sum);
+  if constexpr (std::endian::native == std::endian::little) {
+    folded = static_cast<uint16_t>((folded >> 8) | (folded << 8));
+  }
+  return static_cast<uint16_t>(~folded);
 }
 
 void IpEncap(PacketBuffer& packet, IpHeader header) {

@@ -61,7 +61,13 @@ void IpEncap(PacketBuffer& packet, IpHeader header);
 // success narrows `packet` past the header.
 Result<IpHeader> IpDecap(std::span<const uint8_t>& packet);
 
-// RFC1071-style ones-complement checksum (used by the IP-lite header).
+// RFC 1071 Internet checksum: the ones'-complement of the ones'-complement
+// sum of the big-endian 16-bit words of `data`, an odd last byte padded with
+// zero. The IP-lite header and the UDP-lite datagram carry it, and a span
+// holding a correct checksum sums to 0. Portable C++ that adds host-order
+// 32-bit words and swaps the folded sum (RFC 1071 §2(B)); the result is
+// bit-identical to the classic two-bytes-at-a-time loop at every length a
+// 16-bit length field allows.
 uint16_t InternetChecksum(std::span<const uint8_t> data);
 
 // --- UDP-lite ----------------------------------------------------------------

@@ -1,7 +1,10 @@
 #include "src/net/stack.h"
 
 #include <array>
+#include <cstddef>
 #include <cstdio>
+#include <memory>
+#include <new>
 #include <string>
 
 #include "src/base/log.h"
@@ -147,13 +150,13 @@ bool ProtocolStack::DecapIngress(std::span<const uint8_t> frame, PacketView* vie
     return false;
   }
 
-  view->src_ip = ip->src;
-  view->dst_ip = ip->dst;
-  view->src_port = udp->src_port;
-  view->dst_port = udp->dst_port;
-  view->proto = ip->proto;
-  view->ttl = ip->ttl;
-  view->payload = frame;
+  std::construct_at(view, PacketView{.src_ip = ip->src,
+                                     .dst_ip = ip->dst,
+                                     .src_port = udp->src_port,
+                                     .dst_port = udp->dst_port,
+                                     .proto = ip->proto,
+                                     .ttl = ip->ttl,
+                                     .payload = frame});
   return true;
 }
 
@@ -172,16 +175,25 @@ void ProtocolStack::Deliver(const PacketView& view) {
 }
 
 void ProtocolStack::OnFrameBurst(std::span<const std::span<const uint8_t>> frames) {
-  std::array<PacketView, kIngressChunk> views;
-  std::array<FilterDecision, kIngressChunk> decisions;
+  // Unconstructed slots: each chunk constructs only the views and decisions
+  // it uses, since default-constructing all kIngressChunk of both on every
+  // call cost more than a one-frame burst's decap. They live in this frame,
+  // not in the stack, because a loopback sender can re-enter OnFrameBurst
+  // while a chunk is being delivered.
+  alignas(PacketView) std::array<std::byte, sizeof(PacketView) * kIngressChunk> view_slots;
+  alignas(FilterDecision) std::array<std::byte, sizeof(FilterDecision) * kIngressChunk>
+      decision_slots;
+  PacketView* const views = std::launder(reinterpret_cast<PacketView*>(view_slots.data()));
+  FilterDecision* const decisions =
+      std::launder(reinterpret_cast<FilterDecision*>(decision_slots.data()));
   while (!frames.empty()) {
     size_t n = 0;
     size_t parsed = 0;
     for (; parsed < frames.size() && n < kIngressChunk; ++parsed) {
-      n += DecapIngress(frames[parsed], &views[n]) ? 1 : 0;
+      n += DecapIngress(frames[parsed], views + n) ? 1 : 0;
     }
     frames = frames.subspan(parsed);
-    const std::span<const PacketView> chunk(views.data(), n);
+    const std::span<const PacketView> chunk(views, n);
     if (chunk.empty()) {
       continue;
     }
@@ -190,7 +202,8 @@ void ProtocolStack::OnFrameBurst(std::span<const std::span<const uint8_t>> frame
     // must not turn the chunk's drop decisions into deliveries.
     const bool filtered = ingress_filter_ != nullptr;
     if (filtered) {
-      ingress_filter_(chunk, FilterDirection::kIngress, decisions);
+      std::uninitialized_default_construct_n(decisions, n);
+      ingress_filter_(chunk, FilterDirection::kIngress, {decisions, n});
     }
     for (size_t i = 0; i < chunk.size(); ++i) {
       if (!filtered || ApplyDecision(decisions[i], /*ttl_override=*/nullptr)) {

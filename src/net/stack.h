@@ -135,7 +135,8 @@ class ProtocolStack {
   // (egress only — ingress has no header left to rewrite).
   bool ApplyDecision(const FilterDecision& decision, uint8_t* ttl_override);
   // Eth/IP/UDP ingress decapsulation with the drop counters; on success
-  // `view` holds the header fields and a payload span aliasing `frame`.
+  // constructs *view from the header fields and a payload span aliasing
+  // `frame` (`view` may point at unconstructed storage).
   bool DecapIngress(std::span<const uint8_t> frame, PacketView* view);
   // Socket lookup + datagram materialization for a packet the filter passed.
   void Deliver(const PacketView& view);

@@ -43,8 +43,9 @@ TEST(Crc32Test, DetectsCorruption) {
   EXPECT_NE(Crc32(data), good);
 }
 
-// The classic one-table, one-byte-per-step CRC-32 loop: the oracle the
-// sliced implementation must match bit for bit.
+// The classic one-table, one-byte-per-step CRC-32 loop: the oracle that
+// Crc32 (folded where the host has PCLMULQDQ) and the portable sliced loop
+// must both match bit for bit.
 uint32_t BytewiseCrc32Update(uint32_t crc, std::span<const uint8_t> data) {
   static const std::array<uint32_t, 256> table = [] {
     std::array<uint32_t, 256> t{};
@@ -67,6 +68,10 @@ uint32_t BytewiseCrc32(std::span<const uint8_t> data) {
   return BytewiseCrc32Update(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
 }
 
+uint32_t SlicedCrc32(std::span<const uint8_t> data) {
+  return Crc32Final(Crc32UpdateSliced(Crc32Init(), data));
+}
+
 std::vector<uint8_t> RandomBytes(Random& rng, size_t len) {
   std::vector<uint8_t> bytes(len);
   for (uint8_t& b : bytes) {
@@ -75,22 +80,35 @@ std::vector<uint8_t> RandomBytes(Random& rng, size_t len) {
   return bytes;
 }
 
+// A heap block of exactly offset + data.size() bytes with `data` at its end,
+// so a load past the end of the data leaves the allocation (where ASan
+// reports it) and `offset` sets the data's alignment within 16 bytes.
+std::vector<uint8_t> PlaceAtEnd(std::span<const uint8_t> data, size_t offset) {
+  std::vector<uint8_t> block(offset + data.size());
+  std::copy(data.begin(), data.end(), block.begin() + static_cast<ptrdiff_t>(offset));
+  return block;
+}
+
 TEST(Crc32Test, MatchesBytewiseOracleAtEveryLengthAndAlignment) {
   Random rng(0xC3C32);
-  // 8 spare bytes so every start offset 0..7 can see the full length.
-  std::vector<uint8_t> backing = RandomBytes(rng, 4096 + 8);
+  // Every length across the 16- and 64-byte fold boundaries, then random
+  // lengths up to the largest frame SendDatagram builds (65511 + 42 B).
   std::vector<size_t> lengths;
-  for (size_t len = 0; len <= 64; ++len) {
+  for (size_t len = 0; len <= 256; ++len) {
     lengths.push_back(len);
   }
-  for (int i = 0; i < 200; ++i) {
-    lengths.push_back(rng.NextBelow(4097));
+  for (int i = 0; i < 64; ++i) {
+    lengths.push_back(rng.NextBelow(65554));
   }
-  lengths.push_back(4096);
+  lengths.push_back(65553);
   for (size_t len : lengths) {
-    for (size_t offset = 0; offset < 8; ++offset) {
-      std::span<const uint8_t> data(backing.data() + offset, len);
-      ASSERT_EQ(Crc32(data), BytewiseCrc32(data)) << "len " << len << " offset " << offset;
+    const std::vector<uint8_t> bytes = RandomBytes(rng, len);
+    const uint32_t oracle = BytewiseCrc32(bytes);
+    for (size_t offset = 0; offset < 16; ++offset) {
+      const std::vector<uint8_t> block = PlaceAtEnd(bytes, offset);
+      const auto data = std::span<const uint8_t>(block).subspan(offset);
+      ASSERT_EQ(Crc32(data), oracle) << "len " << len << " offset " << offset;
+      ASSERT_EQ(SlicedCrc32(data), oracle) << "len " << len << " offset " << offset;
     }
   }
 }
@@ -99,22 +117,29 @@ TEST(Crc32Test, SplitUpdatesMatchBytewiseOracle) {
   Random rng(0x5B117);
   for (int trial = 0; trial < 300; ++trial) {
     std::vector<uint8_t> data = RandomBytes(rng, rng.NextBelow(4097));
-    // Cut the buffer into random pieces: most are not multiples of 8, so
-    // pieces end and start mid-slice.
+    // Cut the buffer into random pieces of 0-159 bytes: pieces above 16 and
+    // 64 bytes take the fold, most leave a tail for the sliced loop, and
+    // each starts wherever the last one ended, mostly partway into a
+    // 16-byte block of the whole buffer.
     uint32_t crc = Crc32Init();
+    uint32_t sliced = Crc32Init();
     size_t done = 0;
     while (done < data.size()) {
-      size_t piece = std::min<size_t>(rng.NextBelow(40), data.size() - done);
-      crc = Crc32Update(crc, std::span<const uint8_t>(data).subspan(done, piece));
+      size_t piece = std::min<size_t>(rng.NextBelow(160), data.size() - done);
+      const auto chunk = std::span<const uint8_t>(data).subspan(done, piece);
+      crc = Crc32Update(crc, chunk);
+      sliced = Crc32UpdateSliced(sliced, chunk);
       done += piece;
     }
     uint32_t oracle = BytewiseCrc32(data);
     ASSERT_EQ(Crc32Final(crc), oracle) << "trial " << trial;
+    ASSERT_EQ(Crc32Final(sliced), oracle) << "trial " << trial;
     ASSERT_EQ(Crc32(data), oracle) << "trial " << trial;
     // The incremental state itself matches too, not only the finished CRC.
     size_t cut = data.empty() ? 0 : rng.NextBelow(data.size() + 1);
     std::span<const uint8_t> head = std::span<const uint8_t>(data).first(cut);
     ASSERT_EQ(Crc32Update(Crc32Init(), head), BytewiseCrc32Update(0xFFFFFFFFu, head));
+    ASSERT_EQ(Crc32UpdateSliced(Crc32Init(), head), BytewiseCrc32Update(0xFFFFFFFFu, head));
   }
 }
 

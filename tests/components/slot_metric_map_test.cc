@@ -133,6 +133,14 @@ TEST_F(NetDriverSlotMapTest, DriverSlotsMatchTableAndRegistry) {
 
   for (size_t slot = 0; slot < std::size(kNetDriverStatsSlots); ++slot) {
     const std::string_view slot_name = kNetDriverStatsSlots[slot].name;
+    if (slot == 3) {
+      // Reserved slot (once frames_filtered): no name, no metric, reads 0.
+      EXPECT_TRUE(slot_name.empty());
+      EXPECT_EQ((*iface)->Invoke(5, slot), 0u);
+      uint64_t unused = 0;
+      EXPECT_FALSE(SnapshotValue("components.net_driver.frames_filtered", &unused));
+      continue;
+    }
     ASSERT_FALSE(slot_name.empty()) << "driver slot " << slot << " has no name";
     const std::string metric = "components.net_driver." + std::string(slot_name);
     uint64_t registry_value = 0;

@@ -1,9 +1,9 @@
 // End-to-end packet-filter tests on the full testbed: two stack components
 // over the simulated link, the filter installed at the stack's ingress /
-// egress hook points and at the driver's frame hook, verdict events observed
-// by a monitor, filter chains named in the directory, and hot rule-set
-// reloads (including the sandboxed -> certified-trusted upgrade) with the
-// opt-in keep-alive semantics that let established flows survive them.
+// egress hook points, verdict events observed by a monitor, filter chains
+// named in the directory, and hot rule-set reloads (including the sandboxed
+// -> certified-trusted upgrade) with the opt-in keep-alive semantics that
+// let established flows survive them.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -286,27 +286,6 @@ TEST_F(FilterIntegrationTest, FilterChainsAreNamedDirectoryObjects) {
   EXPECT_EQ((*iface)->Invoke(2), 0u);  // sandboxed
 }
 
-TEST_F(FilterIntegrationTest, DriverFrameHookFiltersBeforeTheStack) {
-  // A frame-level guard at the driver: drop every frame whose length is odd
-  // (content-blind, but proves the hook point sits below the stack).
-  driver_b_->SetFrameFilter(
-      [](std::span<const uint8_t> frame) { return frame.size() % 2 == 0; });
-
-  // Header overhead (eth 14 + ip 16 + udp 8 + fcs 4) is even, so the frame
-  // parity is the payload parity.
-  EXPECT_TRUE(Send(4000, 80, "xy").ok());  // even frame: kept
-  EXPECT_TRUE(Send(4000, 80, "x").ok());   // odd frame: dropped at the driver
-
-  uint64_t filtered = driver_b_->frames_filtered();
-  EXPECT_EQ(filtered, 1u);
-  ASSERT_EQ(delivered_.size(), 1u);
-  EXPECT_EQ(delivered_[0].second, "xy");
-
-  // The counter is visible through the driver interface (stats index 3).
-  auto iface = driver_b_->GetInterface(components::NetDriverType()->name());
-  ASSERT_TRUE(iface.ok());
-  EXPECT_EQ((*iface)->Invoke(5, 3), filtered);
-}
 
 TEST_F(FilterIntegrationTest, ExecutionBackendIsObservableNotAssumed) {
   // The classifier's execution backend (JIT vs threaded fallback) is part of

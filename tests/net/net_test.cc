@@ -2,11 +2,13 @@
 // stack over an in-memory frame pipe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <deque>
 #include <string>
 #include <vector>
 
+#include "src/base/random.h"
 #include "src/net/headers.h"
 #include "src/net/pktbuf.h"
 #include "src/net/stack.h"
@@ -171,6 +173,56 @@ TEST(ChecksumTest, AllOnesFoldsToAllOnesSum) {
   for (size_t words : {1u, 2u, 32u, 512u}) {
     std::vector<uint8_t> data(words * 2, 0xFF);
     EXPECT_EQ(InternetChecksum(data), 0) << words;
+  }
+}
+
+// The classic two-bytes-at-a-time RFC 1071 loop: the oracle the word-wide
+// InternetChecksum must match bit for bit.
+uint16_t BytewiseInternetChecksum(std::span<const uint8_t> data) {
+  uint32_t sum = 0;
+  size_t i = 0;
+  for (; i + 1 < data.size(); i += 2) {
+    sum += static_cast<uint32_t>((data[i] << 8) | data[i + 1]);
+  }
+  if (i < data.size()) {
+    sum += static_cast<uint32_t>(data[i] << 8);
+  }
+  while (sum >> 16) {
+    sum = (sum & 0xFFFF) + (sum >> 16);
+  }
+  return static_cast<uint16_t>(~sum);
+}
+
+TEST(InternetChecksumTest, MatchesBytewiseOracleAtEveryLengthAndAlignment) {
+  Random rng(0x1071);
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 256; ++len) {
+    lengths.push_back(len);
+  }
+  for (int i = 0; i < 200; ++i) {
+    lengths.push_back(rng.NextBelow(65536));
+  }
+  lengths.push_back(65535);
+  for (size_t len : lengths) {
+    // Random bytes, then all-0xFF bytes: the most carries a sum can take.
+    for (bool all_ones : {false, true}) {
+      std::vector<uint8_t> bytes(len, 0xFF);
+      if (!all_ones) {
+        for (uint8_t& b : bytes) {
+          b = static_cast<uint8_t>(rng.Next());
+        }
+      }
+      const uint16_t oracle = BytewiseInternetChecksum(bytes);
+      // Each copy ends its own heap block, so a load past the end leaves the
+      // allocation; the offset varies the alignment.
+      for (size_t offset = 0; offset < 16; ++offset) {
+        std::vector<uint8_t> block(offset + len);
+        std::copy(bytes.begin(), bytes.end(), block.begin() + static_cast<ptrdiff_t>(offset));
+        const auto data = std::span<const uint8_t>(block).subspan(offset);
+        ASSERT_EQ(InternetChecksum(data), oracle)
+            << "len " << len << " offset " << offset << " all_ones " << all_ones;
+      }
+    }
   }
 }
 
