@@ -10,7 +10,6 @@ namespace para::telemetry {
 
 namespace detail {
 
-std::atomic<uint64_t> g_gauges[kMaxGauges] = {};
 thread_local ThreadState* tls_state = nullptr;
 
 }  // namespace detail
@@ -21,7 +20,6 @@ using detail::kHistBuckets;
 using detail::kHistStride;
 using detail::kInvalidId;
 using detail::kMaxCounters;
-using detail::kMaxGauges;
 using detail::kMaxHistograms;
 using detail::kTraceRingCapacity;
 using detail::ThreadState;
@@ -61,10 +59,8 @@ struct Registry::Impl {
   // reclaimed on RemoveAlias.
   std::map<std::string, OwnedEntry, std::less<>> owned;
   std::string counter_names[kMaxCounters];
-  std::string gauge_names[kMaxGauges];
   std::string hist_names[kMaxHistograms];
   uint32_t counter_count = 0;
-  uint32_t gauge_count = 0;
   uint32_t hist_count = 0;
   uint64_t rejected = 0;  // capacity overflow or kind conflict
 
@@ -197,27 +193,6 @@ Counter Registry::counter(std::string_view name) {
   return Counter(id);
 }
 
-Gauge Registry::gauge(std::string_view name) {
-  Impl& im = impl();
-  std::lock_guard<std::mutex> lock(im.mu);
-  auto it = im.owned.find(name);
-  if (it != im.owned.end()) {
-    if (it->second.kind != MetricKind::kGauge) {
-      ++im.rejected;
-      return Gauge();
-    }
-    return Gauge(it->second.id);
-  }
-  if (im.gauge_count >= detail::kMaxGauges) {
-    ++im.rejected;
-    return Gauge();
-  }
-  const uint32_t id = im.gauge_count++;
-  im.gauge_names[id] = std::string(name);
-  im.owned.emplace(std::string(name), OwnedEntry{MetricKind::kGauge, id});
-  return Gauge(id);
-}
-
 Histogram Registry::histogram(std::string_view name) {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
@@ -316,15 +291,11 @@ Snapshot Registry::TakeSnapshot() {
     MetricValue mv;
     mv.name = name;
     mv.kind = entry.kind;
-    switch (entry.kind) {
-      case MetricKind::kCounter: mv.value = im.SumCounter(entry.id); break;
-      case MetricKind::kGauge:
-        mv.value = detail::g_gauges[entry.id].load(std::memory_order_relaxed);
-        break;
-      case MetricKind::kHistogram:
-        mv.hist = im.SumHistogram(entry.id);
-        mv.value = mv.hist.count;
-        break;
+    if (entry.kind == MetricKind::kHistogram) {
+      mv.hist = im.SumHistogram(entry.id);
+      mv.value = mv.hist.count;
+    } else {
+      mv.value = im.SumCounter(entry.id);
     }
     snap.metrics.push_back(std::move(mv));
   }
@@ -366,9 +337,6 @@ void Registry::Reset() {
     for (size_t i = 0; i < kMaxHistograms * kHistStride; ++i) {
       t->hist[i].store(0, std::memory_order_relaxed);
     }
-  }
-  for (size_t i = 0; i < kMaxGauges; ++i) {
-    detail::g_gauges[i].store(0, std::memory_order_relaxed);
   }
   for (auto& [id, alias] : im.aliases) {
     alias.reset_base = 0;

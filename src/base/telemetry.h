@@ -7,9 +7,8 @@
 // single relaxed store into the caller's own block, and a snapshot walks all
 // blocks under a lock and sums them. Nothing on the hot path ever contends.
 //
-// Three metric kinds:
+// Two owned metric kinds:
 //  * Counter   — monotonically increasing u64, per-thread cells.
-//  * Gauge     — last-write-wins u64, one global cell (set is rare).
 //  * Histogram — log2-bucketed latency histogram: bucket i holds values whose
 //                bit width is i (bucket 0 = {0}, bucket i = [2^(i-1), 2^i-1]),
 //                plus a running sum. Per-thread cells like counters.
@@ -18,7 +17,9 @@
 // fields as the source of truth and register ALIASES: a name plus a pointer
 // (or closure) the registry reads at snapshot time. The hot path pays nothing
 // and the numbered StatsSlot control interfaces stay bit-identical, but every
-// counter appears in the one `layer.component.metric` namespace.
+// counter appears in the one `layer.component.metric` namespace. Gauges exist
+// only as aliases (MetricKind::kGauge): a component's own field or closure is
+// the gauge.
 //
 // Tracing: each thread owns a fixed-size ring of TSC-stamped begin/end/
 // instant events that overwrites its oldest entry — always on, never
@@ -74,7 +75,6 @@ struct TraceEvent {
 namespace detail {
 
 inline constexpr size_t kMaxCounters = 256;
-inline constexpr size_t kMaxGauges = 64;
 inline constexpr size_t kMaxHistograms = 64;
 inline constexpr size_t kHistBuckets = 65;              // bucket per bit width of u64
 inline constexpr size_t kHistStride = kHistBuckets + 1; // + running-sum cell
@@ -101,9 +101,6 @@ struct ThreadState {
   uint32_t tid = 0;
   ThreadState* next = nullptr;  // intrusive list of live threads
 };
-
-// Global last-write-wins cells for gauges (sets are rare; no per-thread copy).
-extern std::atomic<uint64_t> g_gauges[kMaxGauges];
 
 extern thread_local ThreadState* tls_state;
 
@@ -198,45 +195,6 @@ class Counter {
   uint32_t id_ = detail::kInvalidId;
 };
 
-class Gauge {
- public:
-  Gauge() = default;
-
-  void Set(uint64_t v) {
-    if constexpr (!kEnabled) {
-      (void)v;
-      return;
-    } else {
-      if (id_ == detail::kInvalidId) return;
-      detail::g_gauges[id_].store(v, std::memory_order_relaxed);
-    }
-  }
-  void Add(int64_t delta) {
-    if constexpr (!kEnabled) {
-      (void)delta;
-      return;
-    } else {
-      if (id_ == detail::kInvalidId) return;
-      detail::g_gauges[id_].fetch_add(static_cast<uint64_t>(delta), std::memory_order_relaxed);
-    }
-  }
-  uint64_t Value() const {
-    if constexpr (!kEnabled) {
-      return 0;
-    } else {
-      if (id_ == detail::kInvalidId) return 0;
-      return detail::g_gauges[id_].load(std::memory_order_relaxed);
-    }
-  }
-
-  bool valid() const { return id_ != detail::kInvalidId; }
-
- private:
-  friend class Registry;
-  explicit Gauge(uint32_t id) : id_(id) {}
-  uint32_t id_ = detail::kInvalidId;
-};
-
 struct HistogramValue {
   uint64_t buckets[detail::kHistBuckets] = {};
   uint64_t count = 0;
@@ -299,7 +257,6 @@ class Registry {
   // or the fixed capacity is exhausted (both count in
   // `telemetry.registry.rejected`).
   Counter counter(std::string_view name);
-  Gauge gauge(std::string_view name);
   Histogram histogram(std::string_view name);
 
   // Registers a metric whose value lives outside the registry: `source` (or
@@ -360,9 +317,6 @@ class ScopedMetricGroup {
 
   void Counter(std::string name, const uint64_t* source) {
     Add(std::move(name), source, MetricKind::kCounter);
-  }
-  void Gauge(std::string name, const uint64_t* source) {
-    Add(std::move(name), source, MetricKind::kGauge);
   }
   void Fn(std::string name, std::function<uint64_t()> reader,
           MetricKind kind = MetricKind::kGauge) {

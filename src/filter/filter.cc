@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <map>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "src/base/log.h"
@@ -60,6 +61,14 @@ inline bool WriteSlot(sfi::Vm& vm, size_t slot, const net::PacketView& view,
   }
   return WritePacketDescriptor(
       view, memory.subspan(off, std::min(kFilterBatchSlot, memory.size() - off)), payload_bytes);
+}
+
+// The filter never executes an unverified program: verification produces the
+// executable artifact, so there is nothing else TO install.
+Result<std::shared_ptr<const sfi::VerifiedProgram>> VerifyProgram(sfi::Program program) {
+  PARA_ASSIGN_OR_RETURN(sfi::VerifiedProgram verified, sfi::Verify(std::move(program)));
+  return std::shared_ptr<const sfi::VerifiedProgram>(
+      std::make_shared<sfi::VerifiedProgram>(std::move(verified)));
 }
 
 }  // namespace
@@ -196,20 +205,6 @@ void PacketFilter::RegisterMetrics() {
               telemetry::MetricKind::kGauge);
 }
 
-// The filter never executes an unverified program: verification produces the
-// executable artifact, so there is nothing else TO install. With a cache
-// configured, a previously seen compile output (hot reload of the same
-// rules) is a lookup instead of a decode.
-Result<std::shared_ptr<const sfi::VerifiedProgram>> PacketFilter::VerifyProgram(
-    const sfi::Program& program) {
-  if (config_.program_cache != nullptr) {
-    return config_.program_cache->GetOrVerify(program);
-  }
-  PARA_ASSIGN_OR_RETURN(sfi::VerifiedProgram verified, sfi::Verify(program));
-  return std::shared_ptr<const sfi::VerifiedProgram>(
-      std::make_shared<sfi::VerifiedProgram>(std::move(verified)));
-}
-
 Result<std::vector<std::vector<PacketFilter::ProcChain>>> PacketFilter::InstantiateChains(
     const CompiledFilter& compiled, sfi::ExecMode mode, nucleus::Certifier* certifier,
     const nucleus::CertificationService* service) {
@@ -220,9 +215,11 @@ Result<std::vector<std::vector<PacketFilter::ProcChain>>> PacketFilter::Instanti
     chains.reserve(compiled.chains.size());
   }
   // The verified (and, for kTrusted, certified) artifact of each distinct
-  // (procedure name, program) in this load, keyed like the program cache.
-  std::map<std::pair<std::string, std::string>, std::shared_ptr<const sfi::VerifiedProgram>>
-      distinct;
+  // procedure program in this load: spec name, code, entry points and
+  // memory size, compared exactly.
+  using ProgramKey =
+      std::tuple<std::string, std::vector<uint8_t>, std::vector<uint32_t>, size_t>;
+  std::map<ProgramKey, std::shared_ptr<const sfi::VerifiedProgram>> distinct;
   uint16_t ordinal = 0;
   for (const std::vector<RuleProcSpec>& specs : compiled.chains) {
     std::vector<ProcChain> chain(nshards);
@@ -236,10 +233,10 @@ Result<std::vector<std::vector<PacketFilter::ProcChain>>> PacketFilter::Instanti
       // Ordinals are identical across shards, so event details agree
       // wherever the packet steered.
       PARA_ASSIGN_OR_RETURN(sfi::Program program, registry.Generate(spec));
-      std::shared_ptr<const sfi::VerifiedProgram>& verified =
-          distinct[{spec.name, sfi::VerifiedProgramCache::KeyOf(program, {})}];
+      std::shared_ptr<const sfi::VerifiedProgram>& verified = distinct[{
+          spec.name, program.code, program.entry_points, program.memory_bytes}];
       if (verified == nullptr) {
-        PARA_ASSIGN_OR_RETURN(verified, VerifyProgram(program));
+        PARA_ASSIGN_OR_RETURN(verified, VerifyProgram(std::move(program)));
         if (mode == sfi::ExecMode::kTrusted) {
           // Every procedure is certified in its own right — a chain is only
           // as trusted as its least-trusted link, so there is no blanket

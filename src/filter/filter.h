@@ -52,7 +52,6 @@
 #include "src/nucleus/cert.h"
 #include "src/nucleus/event.h"
 #include "src/obj/object.h"
-#include "src/sfi/program_cache.h"
 #include "src/sfi/vm.h"
 
 namespace para::filter {
@@ -120,9 +119,6 @@ struct FilterConfig {
   bool flow_keepalive_across_reloads = false;
   // Optional: verdict notifications for count/reject are raised here.
   nucleus::EventService* events = nullptr;
-  // Optional: shared artifact cache — hot reloads of previously seen rule
-  // sets skip compile-output re-verification and re-decode entirely.
-  sfi::VerifiedProgramCache* program_cache = nullptr;
   // Optional: with a clock, flows idle for `flow_ttl` virtual nanoseconds
   // expire (0 disables expiry). The same clock feeds the procedures' `now`
   // host helper (ratelimit needs it for meaningful rates; without a clock
@@ -409,19 +405,19 @@ class PacketFilter : public obj::Object {
 
   explicit PacketFilter(FilterConfig config);
 
-  Result<std::shared_ptr<const sfi::VerifiedProgram>> VerifyProgram(const sfi::Program& program);
   // Generates each procedure spec in `compiled.chains`, then verifies and
-  // (for kTrusted) certifies and validates each distinct (spec name,
-  // program) ONCE per call: rules whose procedures generate the same program
-  // share one VerifiedProgram and one certificate, byte-identical to the one
-  // each would get alone (same "<filter>/<proc>" name, version and digest).
-  // The certifier policy is therefore asked once per distinct (name, code)
-  // rather than once per rule; it sees only (name, code, flags), so it could
-  // never tell instances apart. Every instance still gets its own
-  // ProcInstance — VM memory and persistent state, ordinal, fuel, host
-  // helpers — on every shard (ordinals identical across shards). Any failure
-  // fails the whole load — nothing partial is ever installed. Returns chains
-  // indexed [shard][chain].
+  // (for kTrusted) certifies and validates each distinct procedure program
+  // ONCE per call. Distinct means a different spec name, code, entry points
+  // or memory size, compared exactly: rules whose procedures generate the
+  // same program share one VerifiedProgram (so one JIT image) and one
+  // certificate, byte-identical to the one each would get alone (same
+  // "<filter>/<proc>" name, version and digest). The certifier policy is
+  // therefore asked once per distinct program rather than once per rule; it
+  // sees only (name, code, flags), so it could never tell instances apart.
+  // Every instance still gets its own ProcInstance — VM memory and
+  // persistent state, ordinal, fuel, host helpers — on every shard (ordinals
+  // identical across shards). Any failure fails the whole load — nothing
+  // partial is ever installed. Returns chains indexed [shard][chain].
   Result<std::vector<std::vector<ProcChain>>> InstantiateChains(
       const CompiledFilter& compiled, sfi::ExecMode mode, nucleus::Certifier* certifier,
       const nucleus::CertificationService* service);

@@ -41,8 +41,14 @@ Status ProtocolStack::BindPort(Port port, DatagramHandler handler) {
 }
 
 Status ProtocolStack::UnbindPort(Port port) {
-  return sockets_.erase(port) > 0 ? OkStatus()
-                                  : Status(ErrorCode::kNotFound, "port not bound");
+  auto socket = sockets_.extract(port);
+  if (socket.empty()) {
+    return Status(ErrorCode::kNotFound, "port not bound");
+  }
+  if (deliver_depth_ > 0) {
+    unbound_.push_back(std::move(socket));
+  }
+  return OkStatus();
 }
 
 void ProtocolStack::SetIngressFilter(FilterHook hook) {
@@ -171,7 +177,11 @@ void ProtocolStack::Deliver(const PacketView& view) {
   datagram.src = view.src_ip;
   datagram.src_port = view.src_port;
   datagram.payload.assign(view.payload.begin(), view.payload.end());
+  ++deliver_depth_;
   socket->second(datagram);
+  if (--deliver_depth_ == 0) {
+    unbound_.clear();
+  }
 }
 
 void ProtocolStack::OnFrameBurst(std::span<const std::span<const uint8_t>> frames) {

@@ -90,6 +90,9 @@ class ProtocolStack {
 
   // Binds a datagram handler to a local port.
   Status BindPort(Port port, DatagramHandler handler);
+  // A handler may unbind any port, its own included: the port stops
+  // receiving at once, and the handler is destroyed after the outermost
+  // delivery in progress returns.
   Status UnbindPort(Port port);
 
   // Sends a UDP-lite datagram. Blocked by the egress filter =>
@@ -145,6 +148,10 @@ class ProtocolStack {
   FrameSender sender_;
   std::map<IpAddr, MacAddr> neighbors_;
   std::map<Port, DatagramHandler> sockets_;
+  // Handlers running (loopback sends nest them) and the sockets unbound
+  // meanwhile, whose handlers may be among those running.
+  uint32_t deliver_depth_ = 0;
+  std::vector<std::map<Port, DatagramHandler>::node_type> unbound_;
   FilterBatchHook ingress_filter_;
   FilterHook egress_filter_;
   StackStats stats_;

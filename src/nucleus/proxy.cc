@@ -22,10 +22,6 @@ struct ArgFrame {
 constexpr uint8_t kPayloadIn = 1 << 0;
 constexpr uint8_t kPayloadOut = 1 << 1;
 
-bool Overlaps(std::span<const uint8_t> a, std::span<const uint8_t> b) {
-  return a.data() < b.data() + b.size() && b.data() < a.data() + a.size();
-}
-
 }  // namespace
 
 // One bound proxy: the object the client receives. Owns the fault pages,
@@ -195,23 +191,16 @@ class ProxyObject : public obj::Object {
   }
 
   // Copies `len` payload bytes client -> server window ("map in arguments").
-  // Fast path: the client buffer translates to one host span disjoint from
-  // the window, so the copy is a single memcpy. Otherwise (non-contiguous
-  // client buffer, or one that aliases the window through shared pages) the
-  // bytes bounce through the proxy's scratch arena — reused across calls,
-  // so even the slow path stops allocating after warm-up.
+  // Fast path: the client buffer translates to one host span, so the copy is
+  // a single memmove (the span may alias the window through shared pages).
+  // A physically fragmented client buffer bounces through the proxy's
+  // scratch arena — reused across calls, so even that path stops allocating
+  // after warm-up.
   Status CopyPayloadIn(uint64_t client_buffer, size_t len) {
     VirtualMemoryService* vmem = engine_->vmem_;
     auto client_span = vmem->TranslateSpan(client_, client_buffer, len, /*write=*/false);
     if (client_span.ok()) {
-      if (!Overlaps(*client_span, server_payload_host_)) {
-        std::memcpy(server_payload_host_.data(), client_span->data(), len);
-        return OkStatus();
-      }
-      scratch_.Reset();
-      std::span<uint8_t> bounce = scratch_.Allocate(len);
-      std::memcpy(bounce.data(), client_span->data(), len);
-      std::memcpy(server_payload_host_.data(), bounce.data(), len);
+      std::memmove(server_payload_host_.data(), client_span->data(), len);
       return OkStatus();
     }
     if (!client_span.status().is(ErrorCode::kFailedPrecondition)) {
@@ -234,14 +223,7 @@ class ProxyObject : public obj::Object {
     VirtualMemoryService* vmem = engine_->vmem_;
     auto client_span = vmem->TranslateSpan(client_, client_buffer, n, /*write=*/true);
     if (client_span.ok()) {
-      if (!Overlaps(*client_span, server_payload_host_)) {
-        std::memcpy(client_span->data(), server_payload_host_.data(), n);
-        return OkStatus();
-      }
-      scratch_.Reset();
-      std::span<uint8_t> bounce = scratch_.Allocate(n);
-      std::memcpy(bounce.data(), server_payload_host_.data(), n);
-      std::memcpy(client_span->data(), bounce.data(), n);
+      std::memmove(client_span->data(), server_payload_host_.data(), n);
       return OkStatus();
     }
     if (!client_span.status().is(ErrorCode::kFailedPrecondition)) {
@@ -328,7 +310,7 @@ class ProxyObject : public obj::Object {
   std::span<uint8_t> client_args_host_;
   std::span<uint8_t> server_args_host_;
   std::span<uint8_t> server_payload_host_;
-  Arena scratch_;  // reusable bounce for aliasing payload buffers
+  Arena scratch_;  // reusable bounce for fragmented payload buffers
   std::vector<std::unique_ptr<IfaceRecord>> records_;
   std::vector<std::unique_ptr<SlotStub>> stubs_;
 };

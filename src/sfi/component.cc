@@ -21,18 +21,12 @@ uint64_t SfiComponent::Trampoline(void* state, uint64_t a0, uint64_t a1, uint64_
 
 Result<std::unique_ptr<SfiComponent>> SfiComponent::Create(Program program,
                                                            const obj::TypeInfo* type,
-                                                           ExecMode mode,
-                                                           VerifiedProgramCache* cache) {
+                                                           ExecMode mode) {
   if (type == nullptr) {
     return Status(ErrorCode::kInvalidArgument, "component needs a type");
   }
-  std::shared_ptr<const VerifiedProgram> verified;
-  if (cache != nullptr) {
-    PARA_ASSIGN_OR_RETURN(verified, cache->GetOrVerify(program));
-  } else {
-    PARA_ASSIGN_OR_RETURN(VerifiedProgram owned, Verify(std::move(program)));
-    verified = std::make_shared<const VerifiedProgram>(std::move(owned));
-  }
+  PARA_ASSIGN_OR_RETURN(VerifiedProgram owned, Verify(std::move(program)));
+  auto verified = std::make_shared<const VerifiedProgram>(std::move(owned));
   if (verified->entry_points.size() != type->method_count()) {
     return Status(ErrorCode::kInvalidArgument, "entry points do not match interface");
   }

@@ -3,9 +3,7 @@
 // points. The same program can be instantiated sandboxed (user-supplied,
 // unverified) or trusted (after certification) — the two sides of
 // experiment E7. Creation always goes through sfi::Verify: the component
-// executes the VerifiedProgram artifact, optionally shared through a
-// VerifiedProgramCache so repeated instantiations of the same image skip
-// the decode.
+// executes the VerifiedProgram artifact it built.
 #ifndef PARAMECIUM_SRC_SFI_COMPONENT_H_
 #define PARAMECIUM_SRC_SFI_COMPONENT_H_
 
@@ -14,7 +12,6 @@
 
 #include "src/base/status.h"
 #include "src/obj/object.h"
-#include "src/sfi/program_cache.h"
 #include "src/sfi/vm.h"
 
 namespace para::sfi {
@@ -22,12 +19,9 @@ namespace para::sfi {
 class SfiComponent : public obj::Object {
  public:
   // The program must verify; its entry-point count must match the type's
-  // method count. With `cache` set, the verified artifact is fetched from /
-  // inserted into the cache (repository factories share one so re-loading a
-  // component image re-uses the decoded program).
+  // method count.
   static Result<std::unique_ptr<SfiComponent>> Create(Program program,
-                                                      const obj::TypeInfo* type, ExecMode mode,
-                                                      VerifiedProgramCache* cache = nullptr);
+                                                      const obj::TypeInfo* type, ExecMode mode);
 
   Vm& vm() { return vm_; }
   const VerifiedProgram& verified_program() const { return *program_; }

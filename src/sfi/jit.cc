@@ -9,8 +9,9 @@
 #include "src/sfi/isa.h"
 
 // The backend is x86-64-only by design (ROADMAP names it the reference
-// target); PARA_SFI_JIT_DISABLED lets a build force the portable threaded
-// loop even on x86-64 (CI exercises that leg).
+// target); PARA_SFI_JIT_DISABLED (CMake -DPARA_SFI_JIT=OFF) lets a build
+// force the portable threaded loop even on x86-64, which is how CI builds
+// and tests this fallback.
 #if defined(__x86_64__) && !defined(PARA_SFI_JIT_DISABLED)
 #define PARA_SFI_JIT_BACKEND 1
 #include <sys/mman.h>
@@ -900,7 +901,7 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
 #else  // !PARA_SFI_JIT_BACKEND
 
 Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram&, ExecMode) {
-  return Status(ErrorCode::kUnimplemented, "jit: unsupported on this build/host");
+  return Status(ErrorCode::kUnavailable, "jit: unsupported on this build/host");
 }
 
 #endif  // PARA_SFI_JIT_BACKEND

@@ -143,7 +143,7 @@ class JitProgram {
 };
 
 // Translates `program`'s decoded stream into native code for `mode`.
-// Fails (kUnimplemented) on non-x86-64 hosts or when the JIT is compiled
+// Fails (kUnavailable) on non-x86-64 hosts or when the JIT is compiled
 // out, and (kInternal) if the executable mapping cannot be created — the
 // caller falls back to the threaded interpreter in both cases.
 Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& program,
@@ -159,18 +159,16 @@ bool JitAvailable();
 bool JitSupported();
 
 // Per-VerifiedProgram cache of compiled code, one slot per ExecMode, shared
-// by every Vm bound to the artifact. Living inside the VerifiedProgram means
-// VerifiedProgramCache automatically caches compiled code alongside the
-// decoded artifact — a cache hit on hot reload skips codegen too — and that
-// invalidation stays safe: in-flight VMs hold the JitProgram shared_ptr, so
-// retiring the cache entry never unmaps code under a running program.
+// by every Vm bound to the artifact: the filter's procedure instances of one
+// program (one artifact per distinct program per load) compile it once per
+// mode. In-flight VMs hold the JitProgram shared_ptr, so dropping the
+// artifact never unmaps code under a running program.
 struct JitCacheSlot {
   mutable std::mutex mu;
   std::shared_ptr<const JitProgram> per_mode[2];  // [sandboxed, trusted]
 
   // Executable bytes currently held by this artifact's compiled variants
-  // (0 until a Vm first compiles). VerifiedProgramCache charges this toward
-  // its memory envelope.
+  // (0 until a Vm first compiles).
   size_t code_bytes() const;
 };
 

@@ -112,7 +112,7 @@ struct VerifyReport {
 };
 
 // A verified, executable program. Immutable after Verify() builds it — Vm
-// instances and caches share `const VerifiedProgram*` freely.
+// instances share `const VerifiedProgram*` freely.
 struct VerifiedProgram {
   Program program;  // the byte-exact certified/signed identity
 
@@ -131,9 +131,10 @@ struct VerifiedProgram {
 
   // Native code compiled lazily from `code` (jit.h), one slot per ExecMode.
   // A shared_ptr (not a plain member) because VerifiedProgram is movable and
-  // the slot holds a mutex; sharing also means every Vm bound to a cached
-  // artifact reuses the same compiled code, and cache invalidation can never
-  // unmap code under an in-flight Vm (the Vm keeps the JitProgram alive).
+  // the slot holds a mutex; sharing also means every Vm bound to a shared
+  // artifact reuses the same compiled code, and releasing the artifact can
+  // never unmap code under an in-flight Vm (the Vm keeps the JitProgram
+  // alive).
   // Null for hand-assembled VerifiedPrograms that bypassed Verify().
   std::shared_ptr<JitCacheSlot> jit_cache;
 

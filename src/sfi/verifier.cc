@@ -324,8 +324,7 @@ Result<VerifiedProgram> Verify(Program program, VerifyOptions options) {
   out.fused = options.fuse_superinstructions;
   out.program = std::move(program);
   // Every verified artifact gets a JIT slot so compiled code is shared by
-  // all Vms bound to it (and cached alongside the decoded stream by
-  // VerifiedProgramCache). Compilation itself stays lazy — first JIT run.
+  // all Vms bound to it. Compilation itself stays lazy — first JIT run.
   out.jit_cache = std::make_shared<JitCacheSlot>();
   return out;
 }

@@ -62,7 +62,8 @@ class Vm {
   static constexpr uint64_t kDefaultFuel = 100'000'000;
 
   // The program must outlive the Vm. Callers typically hold it through a
-  // shared_ptr from VerifiedProgramCache or by value next to the Vm.
+  // shared_ptr next to the Vm (the filter shares one per distinct program)
+  // or by value.
   // `backend` resolves immediately: kAuto picks the JIT where available;
   // an explicit kJit on a host without one falls back to the threaded loop
   // (observable through backend(), never silent in the tests).

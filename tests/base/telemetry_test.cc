@@ -83,22 +83,10 @@ TEST(TelemetryCounter, SameNameYieldsSameMetric) {
 TEST(TelemetryCounter, KindConflictYieldsInertHandle) {
   Counter counter = Registry::Get().counter("para.test.kindclash");
   ASSERT_TRUE(counter.valid());
-  Gauge clash = Registry::Get().gauge("para.test.kindclash");
+  Histogram clash = Registry::Get().histogram("para.test.kindclash");
   EXPECT_FALSE(clash.valid());
-  clash.Set(99);  // must be a no-op, not a write into someone else's cell
-  EXPECT_EQ(clash.Value(), 0u);
-}
-
-TEST(TelemetryGauge, SetAndAdd) {
-  Gauge gauge = Registry::Get().gauge("para.test.gauge");
-  gauge.Set(40);
-  gauge.Add(5);
-  gauge.Add(-3);
-  if constexpr (kEnabled) {
-    EXPECT_EQ(gauge.Value(), 42u);
-  } else {
-    EXPECT_EQ(gauge.Value(), 0u);
-  }
+  clash.Record(99);  // must be a no-op, not a write into someone else's cell
+  EXPECT_EQ(clash.Value().count, 0u);
 }
 
 TEST(TelemetryHistogram, BucketBoundariesAreExactPowersOfTwo) {
@@ -292,14 +280,11 @@ TEST(TelemetryKillSwitch, DisabledBuildCompilesToNoOps) {
 
 TEST(TelemetryKillSwitch, DefaultConstructedHandlesAreInert) {
   Counter counter;
-  Gauge gauge;
   Histogram hist;
   counter.Add(1);
-  gauge.Set(1);
   hist.Record(1);
   EXPECT_FALSE(counter.valid());
   EXPECT_EQ(counter.Value(), 0u);
-  EXPECT_EQ(gauge.Value(), 0u);
   EXPECT_EQ(hist.Value().count, 0u);
 }
 

@@ -18,6 +18,7 @@
 #include "src/filter/filter.h"
 #include "src/filter/rule.h"
 #include "src/nucleus/cert.h"
+#include "src/sfi/assembler.h"
 #include "src/sfi/vm.h"
 
 namespace para::filter {
@@ -385,6 +386,62 @@ TEST(RuleProcCertTest, CertifiesEachDistinctProgramOnce) {
   EXPECT_EQ((*filter)->Evaluate(WebPacket(4000, 80), FilterDirection::kIngress).verdict,
             FilterVerdict::kPass);
   EXPECT_EQ(installed->invocations, 4u);
+}
+
+// A procedure whose code never depends on its spec: two identical
+// `retv event` bodies. `entry` (0 or 1) picks which body is the entry point
+// and `mem` sets the VM memory size, so two specs can generate programs that
+// differ in exactly one field.
+Result<sfi::Program> GenFixedCode(const RuleProcSpec& spec) {
+  sfi::Assembler as;
+  for (int body = 0; body < 2; ++body) {
+    as.EntryPoint();
+    as.EmitPush(kProcResultEvent);
+    as.Emit(sfi::Op::kRetV);
+  }
+  PARA_ASSIGN_OR_RETURN(sfi::Program program, as.Finish(spec.Arg("mem", 4096)));
+  program.entry_points = {program.entry_points.at(spec.Arg("entry", 0))};
+  return program;
+}
+
+TEST(RuleProcCertTest, KeysCertifyOnceOnTheWholeProgram) {
+  // Rules 80 and 81 generate one program. Each later rule differs from them
+  // in one field only — memory size, entry point, procedure name — and so
+  // needs an artifact and a certificate of its own.
+  CertEnv env;
+  RuleProcRegistry procs;
+  ASSERT_TRUE(procs.Register("fixed", &GenFixedCode).ok());
+  ASSERT_TRUE(procs.Register("twin", &GenFixedCode).ok());
+  auto rules = ParseRules(
+      "pass dport 80 proc fixed\n"
+      "pass dport 81 proc fixed\n"
+      "pass dport 82 proc fixed(mem=8192)\n"
+      "pass dport 83 proc fixed(entry=1)\n"
+      "pass dport 84 proc twin\n"
+      "default drop\n");
+  ASSERT_TRUE(rules.ok()) << rules.status().message();
+
+  FilterConfig config;
+  config.track_flows = false;
+  config.shards = 1;  // the test reads shard 0's chain state directly
+  config.procs = &procs;
+  auto filter = PacketFilter::Create(config);
+  ASSERT_TRUE(filter.ok());
+  ASSERT_TRUE((*filter)->LoadCertified(*rules, env.signer, env.service).ok());
+  // The classifier plus four distinct procedure programs.
+  EXPECT_EQ(env.signer.issued(), 5u);
+  EXPECT_EQ(env.service.stats().validations, 5u);
+
+  const std::vector<PacketFilter::ProcChain>& chains = (*filter)->chains();
+  ASSERT_EQ(chains.size(), 5u);
+  EXPECT_EQ(chains[1][0]->program, chains[0][0]->program);
+  EXPECT_EQ(chains[2][0]->program->program.memory_bytes, 8192u);
+  EXPECT_EQ(chains[2][0]->program->identity(), chains[0][0]->program->identity());
+  for (size_t c : {2u, 3u, 4u}) {
+    for (size_t d = 0; d < c; ++d) {
+      EXPECT_NE(chains[c][0]->program, chains[d][0]->program) << c << " vs " << d;
+    }
+  }
 }
 
 // --- sandboxed vs trusted differential, per built-in -------------------------

@@ -1019,41 +1019,6 @@ TEST(PacketFilterTest, FlowTtlExpiresOnVirtualClock) {
   EXPECT_EQ((*filter)->flows().size(), 1u);
 }
 
-TEST(PacketFilterTest, SharedProgramCacheMakesReloadsHits) {
-  auto rules_a = ParseRules("pass dport 80\ndefault drop\n");
-  auto rules_b = ParseRules("pass dport 443\ndefault drop\n");
-  ASSERT_TRUE(rules_a.ok() && rules_b.ok());
-
-  sfi::VerifiedProgramCache cache(8);
-  FilterConfig config;
-  config.program_cache = &cache;
-  auto filter = PacketFilter::Create(config);
-  ASSERT_TRUE(filter.ok());
-
-  // Bootstrap (empty set) + first load: misses.
-  ASSERT_TRUE((*filter)->Load(*rules_a).ok());
-  uint64_t misses_after_first = cache.stats().misses;
-  EXPECT_EQ(cache.stats().hits, 0u);
-
-  // Flipping between two known rule sets re-decodes nothing.
-  ASSERT_TRUE((*filter)->Load(*rules_b).ok());
-  ASSERT_TRUE((*filter)->Load(*rules_a).ok());
-  ASSERT_TRUE((*filter)->Load(*rules_b).ok());
-  EXPECT_EQ(cache.stats().misses, misses_after_first + 1);  // only rules_b was new
-  EXPECT_EQ(cache.stats().hits, 2u);
-
-  // Invalidation-on-reload: retiring the installed program's identity from
-  // the cache forces the next load of those rules through the verifier,
-  // while the filter (still holding the shared artifact) keeps evaluating.
-  ASSERT_TRUE(cache.Invalidate((*filter)->verified_program().identity()));
-  PacketView view{1, 2, 3, 443, net::kIpProtoUdpLite, 64, {}};
-  EXPECT_EQ((*filter)->Evaluate(view, FilterDirection::kIngress).verdict,
-            FilterVerdict::kPass);
-  uint64_t misses_before = cache.stats().misses;
-  ASSERT_TRUE((*filter)->Load(*rules_b).ok());
-  EXPECT_EQ(cache.stats().misses, misses_before + 1);  // re-verified
-}
-
 TEST(PacketFilterTest, ExportsFilterInterface) {
   auto rules = ParseRules("drop dport 23\npass dport 80 proc count\ndefault pass\n");
   ASSERT_TRUE(rules.ok());

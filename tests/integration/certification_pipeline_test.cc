@@ -6,7 +6,6 @@
 
 #include "src/sfi/assembler.h"
 #include "src/sfi/component.h"
-#include "src/sfi/program_cache.h"
 #include "tests/components/test_fixture.h"
 
 namespace para {
@@ -62,15 +61,11 @@ class CertPipelineTest : public NucleusFixture {
     EXPECT_TRUE(program.ok());
     program_ = std::move(*program);
 
-    // The factory shares one VerifiedProgramCache: re-instantiating the
-    // same component image re-uses the decoded artifact instead of
-    // re-verifying the bytecode.
     EXPECT_TRUE(nucleus_->repository()
                     .RegisterFactory("pktfilter.trusted",
                                      [this](Context*) {
                                        auto c = sfi::SfiComponent::Create(
-                                           program_, FilterType(), sfi::ExecMode::kTrusted,
-                                           &program_cache_);
+                                           program_, FilterType(), sfi::ExecMode::kTrusted);
                                        return c.ok() ? std::move(*c) : nullptr;
                                      })
                     .ok());
@@ -96,7 +91,6 @@ class CertPipelineTest : public NucleusFixture {
   std::unique_ptr<Certifier> admin_;
   CertifierChain chain_;
   sfi::Program program_;
-  sfi::VerifiedProgramCache program_cache_;
 };
 
 TEST_F(CertPipelineTest, SimpleComponentCertifiedByProver) {
@@ -148,9 +142,9 @@ TEST_F(CertPipelineTest, LoadedComponentActuallyRuns) {
 
 TEST_F(CertPipelineTest, RepeatedKernelLoadsHitBothCaches) {
   // The load-and-cache contract on the nucleus path: the first kernel load
-  // pays full certificate validation and bytecode verification; loading the
-  // same certified image again skips the RSA work (validation cache keyed by
-  // program identity) and the decode (VerifiedProgramCache in the factory).
+  // pays full certificate validation; loading the same certified image again
+  // skips the RSA work (the validation cache, keyed by program identity).
+  // Each load verifies its own instance of the bytecode.
   auto image = MakeImage("simple-filter", true);
   ASSERT_TRUE(nucleus_->repository().Store(image).ok());
 
@@ -158,16 +152,13 @@ TEST_F(CertPipelineTest, RepeatedKernelLoadsHitBothCaches) {
                   .Load("simple-filter", nucleus_->kernel_context(), "/kernel/filter-a")
                   .ok());
   EXPECT_EQ(nucleus_->certification().stats().cache_hits, 0u);
-  EXPECT_EQ(program_cache_.stats().misses, 1u);
-  EXPECT_EQ(program_cache_.stats().hits, 0u);
 
   ASSERT_TRUE(nucleus_->loader()
                   .Load("simple-filter", nucleus_->kernel_context(), "/kernel/filter-b")
                   .ok());
   EXPECT_EQ(nucleus_->certification().stats().cache_hits, 1u);
-  EXPECT_EQ(program_cache_.stats().hits, 1u);
 
-  // Both instances are live, distinct objects sharing one artifact.
+  // Both instances are live, distinct objects.
   auto a = nucleus_->directory().Bind("/kernel/filter-a", nucleus_->kernel_context());
   auto b = nucleus_->directory().Bind("/kernel/filter-b", nucleus_->kernel_context());
   ASSERT_TRUE(a.ok());

@@ -303,6 +303,50 @@ TEST_F(StackPairTest, RequestResponse) {
   EXPECT_EQ(AsString(replies[0].payload), "ping");
 }
 
+TEST_F(StackPairTest, HandlerMayUnbindItsOwnPort) {
+  // A one-shot socket: the handler unbinds its own port, then touches its
+  // captures, so the closure must outlive the unbind. The next datagram
+  // finds no socket.
+  int delivered = 0;
+  ASSERT_TRUE(bob_.BindPort(80, [this, &delivered](const Datagram&) {
+    EXPECT_TRUE(bob_.UnbindPort(80).ok());
+    ++delivered;
+  }).ok());
+  ASSERT_TRUE(alice_.SendDatagram(0x0A000002, 1234, 80, Bytes("one")).ok());
+  ASSERT_TRUE(alice_.SendDatagram(0x0A000002, 1234, 80, Bytes("two")).ok());
+  Pump();
+  EXPECT_EQ(delivered, 1);
+  EXPECT_EQ(bob_.stats().datagrams_in, 1u);
+  EXPECT_EQ(bob_.stats().drops_no_socket, 1u);
+}
+
+TEST(StackLoopbackTest, NestedHandlerMayUnbindTheOuterOne) {
+  // A loopback sender re-enters delivery: port 80's handler sends to port
+  // 81, whose handler unbinds both ports while port 80's handler is still
+  // running, so both closures must live until the outer delivery returns.
+  ProtocolStack stack({0xAAAA, 0x0A000001}, [&stack](std::span<const uint8_t> f) {
+    stack.OnFrame(f);
+    return OkStatus();
+  });
+  stack.AddNeighbor(0x0A000001, 0xAAAA);
+  int outer = 0;
+  int inner = 0;
+  ASSERT_TRUE(stack.BindPort(80, [&stack, &outer](const Datagram&) {
+    EXPECT_TRUE(stack.SendDatagram(0x0A000001, 80, 81, {}).ok());
+    ++outer;
+  }).ok());
+  ASSERT_TRUE(stack.BindPort(81, [&stack, &inner](const Datagram&) {
+    EXPECT_TRUE(stack.UnbindPort(80).ok());
+    EXPECT_TRUE(stack.UnbindPort(81).ok());
+    ++inner;
+  }).ok());
+  ASSERT_TRUE(stack.SendDatagram(0x0A000001, 1234, 80, {}).ok());
+  ASSERT_TRUE(stack.SendDatagram(0x0A000001, 1234, 80, {}).ok());
+  EXPECT_EQ(outer, 1);
+  EXPECT_EQ(inner, 1);
+  EXPECT_EQ(stack.stats().drops_no_socket, 1u);
+}
+
 TEST_F(StackPairTest, NoRouteFails) {
   auto status = alice_.SendDatagram(0x0A0000FF, 1, 2, Bytes("x"));
   EXPECT_FALSE(status.ok());
