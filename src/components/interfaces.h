@@ -15,13 +15,16 @@ namespace para::components {
 
 // Network device driver.
 //   0 send(payload_vaddr, len)            -> 0 ok / ~0 error
-//   1 poll_recv(dest_vaddr, capacity)     -> frame length, 0 if none
+//   1 poll_recv(dest_vaddr, capacity)     -> frame length, 0 if none (frames
+//                                            longer than capacity are dropped)
 //   2 get_mac()                           -> mac
 //   3 irq_event()                         -> event number for RX interrupts
 //   4 set_rx_irq(enable)                  -> 0
 //   5 stats(index)                        -> counter (0 tx, 1 rx, 2 dropped,
 //                                            3 reserved, reads 0,
-//                                            4 empty frames discarded on RX)
+//                                            4 empty frames discarded on RX,
+//                                            5 frames dropped by poll_recv
+//                                            as longer than capacity)
 const obj::TypeInfo* NetDriverType();
 
 // Memory allocator.

@@ -89,15 +89,19 @@ void NetDriver::OnRxInterrupt() {
     if (!len_reg.ok() || *len_reg > hw::NetworkDevice::kMaxFrame) {
       return;
     }
-    std::vector<uint8_t> frame(*len_reg);
-    if (!vmem_->ReadIo(home_, buffer_ + hw::NetworkDevice::kRxAreaOffset, frame).ok()) {
-      return;
-    }
-    if (frame.empty()) {
+    const size_t len = *len_reg;
+    if (len == 0) {
       // PollRecv's 0 means "queue empty", so a queued empty frame would stop
       // a consumer short of the frames behind it.
       ++frames_empty_;
     } else {
+      // Uninitialized storage: the copy out of the buffer window fills it.
+      RxFrame frame{std::make_unique_for_overwrite<uint8_t[]>(len), len};
+      Status read =
+          vmem_->ReadIo(home_, buffer_ + hw::NetworkDevice::kRxAreaOffset, frame.bytes());
+      if (!read.ok()) {
+        return;
+      }
       rx_frames_.push_back(std::move(frame));
     }
     // Ack: write RX_LEN, which pumps the next queued frame (possibly raising
@@ -127,16 +131,20 @@ uint64_t NetDriver::Send(uint64_t payload_vaddr, uint64_t len, uint64_t, uint64_
 
 uint64_t NetDriver::PollRecv(uint64_t dest_vaddr, uint64_t capacity, uint64_t, uint64_t) {
   ++invocations_;
-  if (rx_frames_.empty()) {
-    return 0;
+  // A frame longer than the caller's buffer is dropped and counted (like
+  // real NICs), and the next frame is tried: 0 means "queue empty", so
+  // returning it here would strand the frames behind the dropped one.
+  while (!rx_frames_.empty()) {
+    RxFrame frame = std::move(rx_frames_.front());
+    rx_frames_.pop_front();
+    if (frame.size > capacity) {
+      ++frames_oversize_;
+      continue;
+    }
+    Status wrote = vmem_->Write(home_, dest_vaddr, frame.bytes());
+    return wrote.ok() ? frame.size : 0;
   }
-  std::vector<uint8_t> frame = std::move(rx_frames_.front());
-  rx_frames_.pop_front();
-  if (frame.size() > capacity) {
-    return 0;  // caller buffer too small; frame is dropped (like real NICs)
-  }
-  Status wrote = vmem_->Write(home_, dest_vaddr, frame);
-  return wrote.ok() ? frame.size() : 0;
+  return 0;
 }
 
 uint64_t NetDriver::GetMac(uint64_t, uint64_t, uint64_t, uint64_t) {

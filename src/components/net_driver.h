@@ -8,15 +8,16 @@
 // the buffer window in one ReadIo/WriteIo copy (one page lookup, every
 // check of the word accessors). Send reads the caller's payload into a
 // fixed TX staging buffer and writes it to the device from there; RX copies
-// each frame out of the buffer window once, into the driver queue.
+// each frame out of the buffer window once, straight into the storage it is
+// queued in.
 #ifndef PARAMECIUM_SRC_COMPONENTS_NET_DRIVER_H_
 #define PARAMECIUM_SRC_COMPONENTS_NET_DRIVER_H_
 
 #include <array>
 #include <deque>
 #include <memory>
+#include <span>
 #include <string_view>
-#include <vector>
 
 #include "src/base/telemetry.h"
 #include "src/components/interfaces.h"
@@ -43,6 +44,8 @@ class NetDriver : public obj::Object {
   uint64_t rx_frames_buffered() const { return rx_frames_.size(); }
   // Zero-length frames the device delivered; RX acks and discards them.
   uint64_t frames_empty() const { return frames_empty_; }
+  // Queued frames longer than a PollRecv caller's buffer; dropped.
+  uint64_t frames_oversize() const { return frames_oversize_; }
 
   // Method implementations (uniform convention; see interfaces.h).
   uint64_t Send(uint64_t payload_vaddr, uint64_t len, uint64_t, uint64_t);
@@ -68,9 +71,16 @@ class NetDriver : public obj::Object {
   nucleus::VAddr regs_ = 0;
   nucleus::VAddr buffer_ = 0;
   uint64_t event_registration_ = 0;
-  std::deque<std::vector<uint8_t>> rx_frames_;  // driver-side RX queue
+  // A received frame: `size` bytes, never zero-filled before the copy in.
+  struct RxFrame {
+    std::unique_ptr<uint8_t[]> storage;
+    size_t size;
+    std::span<uint8_t> bytes() const { return {storage.get(), size}; }
+  };
+  std::deque<RxFrame> rx_frames_;  // driver-side RX queue
   std::array<uint8_t, hw::NetworkDevice::kMaxFrame> tx_frame_{};  // Send's payload staging
   uint64_t frames_empty_ = 0;
+  uint64_t frames_oversize_ = 0;
   uint64_t invocations_ = 0;
   // Aliases over the device's counters and this driver's tallies — declared
   // last so they unregister before the fields/device pointer die.
@@ -93,6 +103,7 @@ inline constexpr NetDriverStatsSlot kNetDriverStatsSlots[] = {
     {"frames_dropped", [](const NetDriver& d) { return d.device().frames_dropped(); }},    // 2
     {"", nullptr},                                                                         // 3
     {"frames_empty", [](const NetDriver& d) { return d.frames_empty(); }},                 // 4
+    {"frames_oversize", [](const NetDriver& d) { return d.frames_oversize(); }},           // 5
 };
 
 }  // namespace para::components

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "src/base/copy.h"
 #include "src/base/log.h"
 
 namespace para::components {
@@ -76,9 +77,7 @@ Status RpcComponent::SendMessage(net::IpAddr ip, net::Port port, uint32_t xid, u
   PutU32(message.data(), xid);
   PutU32(message.data() + 4, proc);
   PutU32(message.data() + 8, flags);
-  if (!payload.empty()) {
-    std::memcpy(message.data() + kHeaderBytes, payload.data(), payload.size());
-  }
+  CopyBytes(message.data() + kHeaderBytes, payload.data(), payload.size());
   return stack_->stack().SendDatagram(ip, config_.local_port, port, message);
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/base/copy.h"
 #include "src/base/log.h"
 #include "src/hw/machine.h"
 
@@ -28,9 +29,10 @@ void NetworkDevice::WriteReg(size_t offset, uint32_t value) {
         return;  // transmitting while disabled is silently dropped
       }
       size_t len = std::min<size_t>(value, kMaxFrame);
-      Frame frame(len);
-      // copy_n, not memcpy: an empty frame's data() may be null.
-      std::copy_n(device_buffer().data() + kTxAreaOffset, len, frame.data());
+      // Built from the TX area's bytes: a Frame of `len` would be zero-filled
+      // only to be overwritten.
+      const uint8_t* tx = device_buffer().data() + kTxAreaOffset;
+      Frame frame(tx, tx + len);
       ++frames_sent_;
       link_->Transmit(endpoint_, std::move(frame), machine_->clock().now());
       return;
@@ -71,7 +73,7 @@ void NetworkDevice::PumpRx() {
   Frame frame = std::move(rx_queue_.front());
   rx_queue_.pop_front();
   size_t len = std::min(frame.size(), kMaxFrame);
-  std::copy_n(frame.data(), len, device_buffer().data() + kRxAreaOffset);
+  CopyBytes(device_buffer().data() + kRxAreaOffset, frame.data(), len);
   rx_area_full_ = true;
   ++frames_received_;
   PokeReg(kRegRxLen, static_cast<uint32_t>(len));

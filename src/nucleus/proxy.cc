@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "src/base/arena.h"
+#include "src/base/copy.h"
 #include "src/base/log.h"
 
 namespace para::nucleus {
@@ -159,7 +160,8 @@ class ProxyObject : public obj::Object {
     // Client-side marshalling goes through the software MMU so the client's
     // mapping state is honored: a bad mapping fails the call (error
     // sentinel), it does not abort the process. The per-domain translation
-    // cache makes the steady-state cost a single memcpy.
+    // cache makes the steady-state cost one lookup and one CopyBytes, as for
+    // the result read below.
     ArgFrame frame{{a0, a1, a2, a3}, slot, 0};
     Status status = vmem->Write(
         client_, client_args_,
@@ -213,7 +215,7 @@ class ProxyObject : public obj::Object {
     scratch_.Reset();
     std::span<uint8_t> bounce = scratch_.Allocate(len);
     PARA_RETURN_IF_ERROR(vmem->Read(client_, client_buffer, bounce));
-    std::memcpy(server_payload_host_.data(), bounce.data(), len);
+    CopyBytes(server_payload_host_.data(), bounce.data(), len);
     return OkStatus();
   }
 
@@ -233,7 +235,7 @@ class ProxyObject : public obj::Object {
     // CopyPayloadIn.
     scratch_.Reset();
     std::span<uint8_t> bounce = scratch_.Allocate(n);
-    std::memcpy(bounce.data(), server_payload_host_.data(), n);
+    CopyBytes(bounce.data(), server_payload_host_.data(), n);
     return vmem->Write(client_, client_buffer, bounce);
   }
 

@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "src/base/copy.h"
 #include "src/base/log.h"
 
 namespace para::nucleus {
@@ -248,7 +249,7 @@ Status VirtualMemoryService::Read(Context* context, VAddr vaddr, std::span<uint8
     size_t in_page = kPageSize - (addr % kPageSize);
     size_t chunk = std::min(in_page, out.size() - done);
     if (uint8_t* host = context->TlbLookup(addr, kProtRead)) {
-      std::memcpy(out.data() + done, host + (addr % kPageSize), chunk);
+      CopyBytes(out.data() + done, host + (addr % kPageSize), chunk);
       done += chunk;
       continue;
     }
@@ -256,7 +257,7 @@ Status VirtualMemoryService::Read(Context* context, VAddr vaddr, std::span<uint8
     if (pte->io) {
       return Status(ErrorCode::kInvalidArgument, "byte access to I/O window");
     }
-    std::memcpy(out.data() + done, PagePtr(pte->phys) + (addr % kPageSize), chunk);
+    CopyBytes(out.data() + done, PagePtr(pte->phys) + (addr % kPageSize), chunk);
     done += chunk;
   }
   return OkStatus();
@@ -270,7 +271,7 @@ Status VirtualMemoryService::Write(Context* context, VAddr vaddr,
     size_t in_page = kPageSize - (addr % kPageSize);
     size_t chunk = std::min(in_page, data.size() - done);
     if (uint8_t* host = context->TlbLookup(addr, kProtWrite)) {
-      std::memcpy(host + (addr % kPageSize), data.data() + done, chunk);
+      CopyBytes(host + (addr % kPageSize), data.data() + done, chunk);
       done += chunk;
       continue;
     }
@@ -278,7 +279,7 @@ Status VirtualMemoryService::Write(Context* context, VAddr vaddr,
     if (pte->io) {
       return Status(ErrorCode::kInvalidArgument, "byte access to I/O window");
     }
-    std::memcpy(PagePtr(pte->phys) + (addr % kPageSize), data.data() + done, chunk);
+    CopyBytes(PagePtr(pte->phys) + (addr % kPageSize), data.data() + done, chunk);
     done += chunk;
   }
   return OkStatus();
@@ -468,7 +469,7 @@ Status VirtualMemoryService::ReadIo(Context* context, VAddr vaddr, std::span<uin
   PARA_ASSIGN_OR_RETURN(IoWindow window, ResolveIoWindow(context, vaddr, /*write=*/false));
   PARA_ASSIGN_OR_RETURN(std::span<uint8_t> bytes,
                         ResolveIoBuffer(context, vaddr, window, out.size(), /*write=*/false));
-  std::memcpy(out.data(), bytes.data(), out.size());
+  CopyBytes(out.data(), bytes.data(), out.size());
   return OkStatus();
 }
 
@@ -480,7 +481,7 @@ Status VirtualMemoryService::WriteIo(Context* context, VAddr vaddr,
   PARA_ASSIGN_OR_RETURN(IoWindow window, ResolveIoWindow(context, vaddr, /*write=*/true));
   PARA_ASSIGN_OR_RETURN(std::span<uint8_t> bytes,
                         ResolveIoBuffer(context, vaddr, window, data.size(), /*write=*/true));
-  std::memcpy(bytes.data(), data.data(), data.size());
+  CopyBytes(bytes.data(), data.data(), data.size());
   return OkStatus();
 }
 

@@ -92,6 +92,15 @@ class VirtualMemoryService : public obj::Object {
   }
 
   // --- access through the software MMU ---
+  //
+  // Read/Write copy a span page by page: a translation-cache hit costs one
+  // lookup, a miss resolves the page (running its fault handler). A page
+  // that fails stops the copy with its error, after the pages before it
+  // have been copied. Every page's bytes move through CopyBytes
+  // (src/base/copy.h), not an inline memcpy: these calls carry each proxied
+  // call's 48-byte argument frame and 8-byte result and each frame a stack
+  // or driver stages, and GCC would expand a memcpy bounded by the page size
+  // into a `rep movsq` that costs more to start than those copies take.
   Status Read(Context* context, VAddr vaddr, std::span<uint8_t> out);
   Status Write(Context* context, VAddr vaddr, std::span<const uint8_t> data);
   Result<uint64_t> ReadU64(Context* context, VAddr vaddr);

@@ -32,17 +32,6 @@ bool JitAvailable() {
   return env == nullptr || env[0] == '\0';
 }
 
-size_t JitCacheSlot::code_bytes() const {
-  std::lock_guard<std::mutex> lock(mu);
-  size_t total = 0;
-  for (const auto& compiled : per_mode) {
-    if (compiled != nullptr) {
-      total += compiled->code_bytes();
-    }
-  }
-  return total;
-}
-
 JitProgram::~JitProgram() {
 #if PARA_SFI_JIT_BACKEND
   if (buffer_ != nullptr) {

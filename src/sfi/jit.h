@@ -164,12 +164,8 @@ bool JitSupported();
 // mode. In-flight VMs hold the JitProgram shared_ptr, so dropping the
 // artifact never unmaps code under a running program.
 struct JitCacheSlot {
-  mutable std::mutex mu;
+  std::mutex mu;
   std::shared_ptr<const JitProgram> per_mode[2];  // [sandboxed, trusted]
-
-  // Executable bytes currently held by this artifact's compiled variants
-  // (0 until a Vm first compiles).
-  size_t code_bytes() const;
 };
 
 // Returns the shared compiled form of `program` for `mode`, compiling on

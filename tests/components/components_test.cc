@@ -208,6 +208,48 @@ TEST_F(ComponentsTest, NetDriverFramesCrossTheWireByteExact) {
   EXPECT_EQ(tx->Invoke(0, *txbuf, hw::NetworkDevice::kMaxFrame + 1), ~uint64_t{0});
 }
 
+TEST_F(ComponentsTest, NetDriverOversizeFrameDoesNotStrandTheFrameBehindIt) {
+  auto* vmem = &nucleus_->vmem();
+  auto* kernel = nucleus_->kernel_context();
+  auto driver_a = NetDriver::Create(vmem, &nucleus_->events(), net_a_, kernel);
+  auto driver_b = NetDriver::Create(vmem, &nucleus_->events(), net_b_, kernel);
+  ASSERT_TRUE(driver_a.ok());
+  ASSERT_TRUE(driver_b.ok());
+  obj::Interface* tx = *(*driver_a)->GetInterface(NetDriverType()->name());
+  obj::Interface* rx = *(*driver_b)->GetInterface(NetDriverType()->name());
+  auto txbuf = vmem->AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  auto rxbuf = vmem->AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  ASSERT_TRUE(txbuf.ok());
+  ASSERT_TRUE(rxbuf.ok());
+
+  // A 100-byte frame, then a 40-byte one, both queued before anyone polls.
+  std::vector<uint8_t> big(100, 0xB1);
+  std::vector<uint8_t> small(40);
+  for (size_t i = 0; i < small.size(); ++i) {
+    small[i] = static_cast<uint8_t>(i + 1);
+  }
+  ASSERT_TRUE(vmem->Write(kernel, *txbuf, big).ok());
+  ASSERT_EQ(tx->Invoke(0, *txbuf, big.size()), 0u);
+  ASSERT_TRUE(vmem->Write(kernel, *txbuf, small).ok());
+  ASSERT_EQ(tx->Invoke(0, *txbuf, small.size()), 0u);
+  machine_.Advance(200);
+  Settle();
+  ASSERT_EQ((*driver_b)->rx_frames_buffered(), 2u);
+
+  // A 64-byte buffer: the 100-byte frame is dropped and counted, and the
+  // same poll returns the 40-byte frame behind it.
+  ASSERT_EQ(rx->Invoke(1, *rxbuf, 64), small.size());
+  std::vector<uint8_t> got(small.size());
+  ASSERT_TRUE(vmem->Read(kernel, *rxbuf, got).ok());
+  EXPECT_EQ(got, small);
+  EXPECT_EQ((*driver_b)->frames_oversize(), 1u);
+  EXPECT_EQ(rx->Invoke(5, 5), 1u);  // stats slot 5
+  // 0 now means the queue is empty.
+  EXPECT_EQ((*driver_b)->rx_frames_buffered(), 0u);
+  EXPECT_EQ(rx->Invoke(1, *rxbuf, 64), 0u);
+  EXPECT_EQ((*driver_b)->frames_oversize(), 1u);
+}
+
 TEST_F(ComponentsTest, NetDriverMeasurementInterface) {
   auto driver = NetDriver::Create(&nucleus_->vmem(), &nucleus_->events(), net_a_,
                                   nucleus_->kernel_context());

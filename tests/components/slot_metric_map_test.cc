@@ -124,6 +124,11 @@ TEST_F(NetDriverSlotMapTest, DriverSlotsMatchTableAndRegistry) {
   auto iface = (*driver)->GetInterface(NetDriverType()->name());
   ASSERT_TRUE(iface.ok());
 
+  // The table's rows, by slot number.
+  ASSERT_EQ(std::size(kNetDriverStatsSlots), 6u);
+  EXPECT_EQ(kNetDriverStatsSlots[4].name, "frames_empty");
+  EXPECT_EQ(kNetDriverStatsSlots[5].name, "frames_oversize");
+
   // Perturb: send one frame through the driver (frames_sent moves to 1).
   auto buf = nucleus_->vmem().AllocatePages(kernel, 1, nucleus::kProtReadWrite);
   ASSERT_TRUE(buf.ok());

@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "src/base/random.h"
 #include "src/hw/machine.h"
 #include "src/hw/timer.h"
 
@@ -583,6 +584,93 @@ TEST_F(VmemTest, TranslationCacheCoherentAcrossSharedWrites) {
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, i * 10);
   }
+}
+
+// Read and Write move exactly the bytes asked for, at every length and
+// alignment, whether the translation cache misses or hits: each case is
+// compared byte for byte with the bytes behind TranslateSpan, and a Write
+// must leave every byte outside its span as it was. The host side of each
+// copy is a heap block of exactly the span's size, so a copy that reads or
+// writes past it is caught by AddressSanitizer.
+TEST_F(VmemTest, ReadWriteMatchHostBytesAtEveryLengthAndOffset) {
+  constexpr size_t kPages = 3;
+  auto base = vmem_.AllocatePages(kernel_, kPages, kProtReadWrite);
+  ASSERT_TRUE(base.ok());
+  auto host = vmem_.TranslateSpan(kernel_, *base, kPages * kPageSize, /*write=*/false);
+  ASSERT_TRUE(host.ok());
+  const std::span<const uint8_t> region = *host;
+
+  std::vector<size_t> lengths;
+  for (size_t len = 0; len <= 256; ++len) {
+    lengths.push_back(len);
+  }
+  para::Random rng(0x5EED'C0DE);
+  for (int i = 0; i < 64; ++i) {
+    lengths.push_back(rng.NextBelow(kPages * kPageSize + 1));
+  }
+  std::vector<size_t> offsets;
+  for (size_t o = 0; o < 16; ++o) {
+    offsets.push_back(o);
+    offsets.push_back(kPageSize - 16 + o);
+  }
+
+  std::vector<uint8_t> before(region.size());
+  for (size_t i = 0; i < before.size(); ++i) {
+    before[i] = static_cast<uint8_t>(i * 7 + (i >> 8) + 1);
+  }
+  ASSERT_TRUE(vmem_.Write(kernel_, *base, before).ok());
+  ASSERT_TRUE(std::equal(region.begin(), region.end(), before.begin()));
+
+  uint8_t stamp = 0;
+  for (size_t len : lengths) {
+    for (size_t offset : offsets) {
+      if (offset + len > region.size()) {
+        continue;
+      }
+      const VAddr at = *base + offset;
+      for (bool warm : {false, true}) {
+        SCOPED_TRACE(::testing::Message() << "len " << len << " offset " << offset
+                                          << (warm ? " warm" : " cold"));
+        if (!warm) {
+          // Same protection: the pages stay as they are, their cached
+          // translations go.
+          ASSERT_TRUE(vmem_.Protect(kernel_, *base, kPages, kProtReadWrite).ok());
+        }
+        std::vector<uint8_t> out(len);
+        ASSERT_TRUE(vmem_.Read(kernel_, at, out).ok());
+        ASSERT_TRUE(std::equal(out.begin(), out.end(), region.begin() + offset));
+
+        if (!warm) {
+          ASSERT_TRUE(vmem_.Protect(kernel_, *base, kPages, kProtReadWrite).ok());
+        }
+        ++stamp;
+        std::vector<uint8_t> in(len);
+        for (size_t i = 0; i < len; ++i) {
+          in[i] = static_cast<uint8_t>(i * 13 + stamp);
+        }
+        ASSERT_TRUE(vmem_.Write(kernel_, at, in).ok());
+        std::copy(in.begin(), in.end(), before.begin() + offset);
+        ASSERT_TRUE(std::equal(region.begin(), region.end(), before.begin()));
+      }
+    }
+  }
+
+  // A span that runs into an unmapped page fails with kFault once it gets
+  // there; the pages before it have been copied.
+  ASSERT_TRUE(vmem_.FreePages(kernel_, *base + 2 * kPageSize, 1).ok());
+  const size_t offset = 100;
+  const size_t mapped = 2 * kPageSize - offset;
+  std::vector<uint8_t> out(mapped + 50, 0xEE);
+  Status read = vmem_.Read(kernel_, *base + offset, out);
+  EXPECT_EQ(read.code(), ErrorCode::kFault);
+  EXPECT_TRUE(std::equal(out.begin(), out.begin() + mapped, region.begin() + offset));
+  EXPECT_TRUE(std::all_of(out.begin() + mapped, out.end(), [](uint8_t b) { return b == 0xEE; }));
+
+  std::vector<uint8_t> in(mapped + 50, 0x5A);
+  Status wrote = vmem_.Write(kernel_, *base + offset, in);
+  EXPECT_EQ(wrote.code(), ErrorCode::kFault);
+  std::fill(before.begin() + offset, before.begin() + 2 * kPageSize, 0x5A);
+  EXPECT_TRUE(std::equal(region.begin(), region.begin() + 2 * kPageSize, before.begin()));
 }
 
 TEST_F(VmemTest, DestroyContextReleasesItsPages) {

@@ -97,7 +97,8 @@ TEST(JitTest, CompiledCodeIsSharedPerModeThroughTheSlot) {
   }
   auto verified = MustVerify("push 0\nload64\nretv");
   ASSERT_NE(verified.jit_cache, nullptr);  // Verify() attaches the slot
-  EXPECT_EQ(verified.jit_cache->code_bytes(), 0u);  // nothing compiled yet
+  EXPECT_EQ(verified.jit_cache->per_mode[0], nullptr);  // nothing compiled yet
+  EXPECT_EQ(verified.jit_cache->per_mode[1], nullptr);
 
   auto sandboxed1 = GetOrCompileJit(verified, ExecMode::kSandboxed);
   auto sandboxed2 = GetOrCompileJit(verified, ExecMode::kSandboxed);
@@ -108,9 +109,9 @@ TEST(JitTest, CompiledCodeIsSharedPerModeThroughTheSlot) {
   EXPECT_EQ(sandboxed1->get(), sandboxed2->get());  // one compile, shared
   EXPECT_NE(sandboxed1->get(), trusted->get());     // modes differ per-insn
 
-  // The slot charges exactly the two variants' executable bytes.
-  EXPECT_EQ(verified.jit_cache->code_bytes(),
-            (*sandboxed1)->code_bytes() + (*trusted)->code_bytes());
+  // The slot holds exactly the two compiled images, one per mode.
+  EXPECT_EQ(verified.jit_cache->per_mode[0], *sandboxed1);
+  EXPECT_EQ(verified.jit_cache->per_mode[1], *trusted);
   // Sandboxed code carries the inlined checks: strictly bigger.
   EXPECT_GT((*sandboxed1)->code_bytes(), (*trusted)->code_bytes());
 }
