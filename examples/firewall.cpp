@@ -209,10 +209,12 @@ int main() {
       (*firewall)->LoadCertified(*lockdown, certifier, bed.nucleus->certification()).ok());
   PARA_CHECK(SendFrom(bed, 4000, 80, "GET /still-here").ok());  // established: passes
   (void)SendFrom(bed, 4001, 80, "new flow");                    // new flow: dropped
+  const net::StackStats& server_stats = bed.server->stack().stats();
   std::printf("lockdown reload: delivered=%zu (established flow survived), "
-              "drops_filtered=%llu\n",
+              "filter_drop+filter_reject=%llu\n",
               delivered.size(),
-              static_cast<unsigned long long>(bed.server->stack().stats().drops_filtered));
+              static_cast<unsigned long long>(server_stats.filter_drop +
+                                              server_stats.filter_reject));
 
   // --- Act 4: rule procedures — rate-limited, logged web traffic ------------
   // The web rule gains two `proc` clauses: a token bucket that admits a

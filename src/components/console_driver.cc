@@ -1,5 +1,8 @@
 #include "src/components/console_driver.h"
 
+#include <algorithm>
+#include <array>
+
 namespace para::components {
 
 Result<std::unique_ptr<ConsoleDriver>> ConsoleDriver::Create(
@@ -33,16 +36,25 @@ uint64_t ConsoleDriver::PutChar(uint64_t c, uint64_t, uint64_t, uint64_t) {
 }
 
 uint64_t ConsoleDriver::Write(uint64_t vaddr, uint64_t len, uint64_t, uint64_t) {
-  std::vector<uint8_t> text(len);
-  if (!vmem_->Read(home_, vaddr, text).ok()) {
-    return 0;
-  }
+  // One page at a time through a fixed buffer, so the caller's length never
+  // sizes an allocation. Each chunk stays inside one page: a read fault then
+  // means that page is unmapped, and every byte before it was written.
+  std::array<uint8_t, nucleus::kPageSize> chunk{};
   uint64_t written = 0;
-  for (uint8_t c : text) {
-    if (PutChar(c, 0, 0, 0) != 0) {
+  while (written < len) {
+    const uint64_t at = vaddr + written;
+    const size_t n = static_cast<size_t>(
+        std::min<uint64_t>(len - written, nucleus::kPageSize - at % nucleus::kPageSize));
+    std::span<uint8_t> text(chunk.data(), n);
+    if (!vmem_->Read(home_, at, text).ok()) {
       break;
     }
-    ++written;
+    for (uint8_t c : text) {
+      if (PutChar(c, 0, 0, 0) != 0) {
+        return written;
+      }
+      ++written;
+    }
   }
   return written;
 }

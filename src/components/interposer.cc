@@ -1,6 +1,7 @@
 #include "src/components/interposer.h"
 
 #include "src/base/log.h"
+#include "src/hw/netdev.h"
 
 namespace para::components {
 
@@ -91,10 +92,14 @@ uint64_t CallMonitor::calls_for(const std::string& interface_name, size_t slot) 
 uint64_t PacketSnoop::SendTap(void* state, uint64_t a0, uint64_t a1, uint64_t a2, uint64_t a3) {
   auto* snoop = static_cast<PacketSnoop*>(state);
   // Quietly copy the outgoing payload before forwarding. The caller observes
-  // nothing: same result, same interface.
-  std::vector<uint8_t> copy(a1);
-  if (snoop->vmem_->Read(snoop->domain_, a0, copy).ok()) {
-    snoop->captured_.push_back(std::move(copy));
+  // nothing: same result, same interface. A payload longer than a frame is
+  // not captured (the driver refuses to send it) but still forwarded, so
+  // the caller gets the driver's own refusal.
+  if (a1 <= hw::NetworkDevice::kMaxFrame) {
+    std::vector<uint8_t> copy(a1);
+    if (snoop->vmem_->Read(snoop->domain_, a0, copy).ok()) {
+      snoop->captured_.push_back(std::move(copy));
+    }
   }
   return snoop->target_iface_->Invoke(0, a0, a1, a2, a3);
 }

@@ -123,18 +123,25 @@ uint64_t StackComponent::BindPort(uint64_t port, uint64_t, uint64_t, uint64_t) {
 uint64_t StackComponent::Recv(uint64_t port, uint64_t dest_vaddr, uint64_t capacity,
                               uint64_t) {
   auto it = inboxes_.find(static_cast<net::Port>(port));
-  if (it == inboxes_.end() || it->second.empty()) {
+  if (it == inboxes_.end()) {
     return 0;
   }
-  net::Datagram datagram = std::move(it->second.front());
-  it->second.pop_front();
-  if (datagram.payload.size() > capacity) {
-    return 0;
+  // A datagram longer than the caller's buffer is dropped and counted, and
+  // the next one is tried: 0 means "none queued", so returning it here would
+  // strand the datagrams behind the dropped one.
+  while (!it->second.empty()) {
+    net::Datagram datagram = std::move(it->second.front());
+    it->second.pop_front();
+    if (datagram.payload.size() > capacity) {
+      ++datagrams_oversize_;
+      continue;
+    }
+    if (!deps_.vmem->Write(home_, dest_vaddr, datagram.payload).ok()) {
+      return 0;
+    }
+    return datagram.payload.size();
   }
-  if (!deps_.vmem->Write(home_, dest_vaddr, datagram.payload).ok()) {
-    return 0;
-  }
-  return datagram.payload.size();
+  return 0;
 }
 
 uint64_t StackComponent::Stats(uint64_t index, uint64_t, uint64_t, uint64_t) {

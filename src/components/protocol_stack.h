@@ -45,6 +45,8 @@ class StackComponent : public obj::Object {
   net::ProtocolStack& stack() { return *stack_; }
   bool bound_via_proxy() const { return via_proxy_; }
   nucleus::Context* home() const { return home_; }
+  // Datagrams Recv dropped because they were longer than the caller's buffer.
+  uint64_t datagrams_oversize() const { return datagrams_oversize_; }
 
   // Pulls every frame the driver has buffered into the stack (also invoked
   // from the RX interrupt pop-up thread).
@@ -72,6 +74,7 @@ class StackComponent : public obj::Object {
   std::span<const uint8_t> rx_frame_;  // rx_buffer_, translated once at Setup
   std::array<uint8_t, nucleus::kPageSize> tx_payload_{};  // Send's payload staging
   uint64_t event_registration_ = 0;
+  uint64_t datagrams_oversize_ = 0;
   std::map<net::Port, std::deque<net::Datagram>> inboxes_;
 };
 

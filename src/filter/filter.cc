@@ -313,7 +313,7 @@ Status PacketFilter::Install(const CompiledFilter& compiled,
 }
 
 Status PacketFilter::Load(const RuleSet& rules) {
-  PARA_ASSIGN_OR_RETURN(CompiledFilter compiled, CompileRules(rules, config_.compile));
+  PARA_ASSIGN_OR_RETURN(CompiledFilter compiled, CompileRules(rules));
   PARA_ASSIGN_OR_RETURN(std::shared_ptr<const sfi::VerifiedProgram> verified,
                         VerifyProgram(compiled.program));
   PARA_ASSIGN_OR_RETURN(
@@ -324,7 +324,7 @@ Status PacketFilter::Load(const RuleSet& rules) {
 
 Status PacketFilter::LoadCertified(const RuleSet& rules, nucleus::Certifier& certifier,
                                    const nucleus::CertificationService& service) {
-  PARA_ASSIGN_OR_RETURN(CompiledFilter compiled, CompileRules(rules, config_.compile));
+  PARA_ASSIGN_OR_RETURN(CompiledFilter compiled, CompileRules(rules));
   // Verify before certification: the certifier signs only structurally sane
   // programs, and nothing unverified is ever installed. The certificate
   // binds the byte-exact identity; the decoded stream is derived state.

@@ -126,8 +126,6 @@ struct FilterConfig {
   // counter, which only that shard's worker writes).
   const VirtualClock* clock = nullptr;
   VTime flow_ttl = 0;
-  // Code-generation backend for compiled rule sets.
-  CompileOptions compile;
   // Rule-procedure registry consulted at load time (null = BuiltIns()).
   const RuleProcRegistry* procs = nullptr;
   // Per-invocation instruction budget for sandboxed procedures. Exhaustion

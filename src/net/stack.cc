@@ -81,7 +81,6 @@ bool ProtocolStack::ApplyDecision(const FilterDecision& decision, uint8_t* ttl_o
       ++stats_.filter_reject;
       break;
   }
-  ++stats_.drops_filtered;
   return false;
 }
 

@@ -45,8 +45,8 @@ struct StackStats {
   uint64_t drops_bad_frame = 0;
   uint64_t drops_not_for_us = 0;
   uint64_t drops_no_socket = 0;
-  uint64_t drops_filtered = 0;  // ingress + egress drop/reject verdicts
-  // Per-verdict filter counters, both directions combined. (Counting is a
+  // Per-verdict filter counters, both directions combined; the packets the
+  // filter dropped are filter_drop + filter_reject. (Counting is a
   // rule *procedure* now, tallied by the filter itself — the retired
   // per-stack filter_count moved to FilterStats::proc_invocations.)
   uint64_t filter_pass = 0;
@@ -59,8 +59,9 @@ struct StackStats {
 // registry metric) and the StackStats counter it reads. This table, in
 // slot order, is the single source of truth for StackType slot 3
 // (`stats(index)`), the registry aliases ProtocolStack registers, and the
-// slot-map test. Slot 11 is reserved (the retired per-stack count-verdict
-// tally): no name, no field, always reads 0.
+// slot-map test. Slots 7 and 11 are reserved (the retired drops_filtered,
+// which only repeated filter_drop + filter_reject, and the retired per-stack
+// count-verdict tally): no name, no field, always reads 0.
 struct StackStatsSlot {
   std::string_view name;
   uint64_t StackStats::*field;
@@ -73,7 +74,7 @@ inline constexpr StackStatsSlot kStackStatsSlots[] = {
     {"drops_bad_frame", &StackStats::drops_bad_frame},
     {"drops_not_for_us", &StackStats::drops_not_for_us},
     {"drops_no_socket", &StackStats::drops_no_socket},
-    {"drops_filtered", &StackStats::drops_filtered},
+    {"", nullptr},  // 7: reserved
     {"filter_pass", &StackStats::filter_pass},
     {"filter_drop", &StackStats::filter_drop},
     {"filter_reject", &StackStats::filter_reject},

@@ -53,42 +53,17 @@ Interval Pop(AbsState& s) {
   return Interval::Top();
 }
 
-// Access width for loads, stores, and fused push+load superinstructions.
+// Access width of a load or store.
 uint64_t AccessWidth(uint8_t op) {
-  if (op >= static_cast<uint8_t>(Op::kLoad8) && op <= static_cast<uint8_t>(Op::kLoad64)) {
+  if (op <= static_cast<uint8_t>(Op::kLoad64)) {
     return uint64_t{1} << (op - static_cast<uint8_t>(Op::kLoad8));
   }
-  if (op >= static_cast<uint8_t>(Op::kStore8) && op <= static_cast<uint8_t>(Op::kStore64)) {
-    return uint64_t{1} << (op - static_cast<uint8_t>(Op::kStore8));
-  }
-  return uint64_t{1} << (op - kOpFusedPushLoad8);
+  return uint64_t{1} << (op - static_cast<uint8_t>(Op::kStore8));
 }
 
 // What a width-limited load can produce.
 Interval LoadResult(uint64_t width) {
   return width >= 8 ? Interval::Top() : Interval{0, (uint64_t{1} << (8 * width)) - 1};
-}
-
-bool HasJumpTarget(uint8_t op) {
-  return op == static_cast<uint8_t>(Op::kJmp) || op == static_cast<uint8_t>(Op::kJz) ||
-         op == static_cast<uint8_t>(Op::kJnz) || op == static_cast<uint8_t>(Op::kCall) ||
-         (op >= kOpFusedEqJz && op <= kOpFusedGtUJnz);
-}
-
-bool IsDecodedTerminator(uint8_t op) {
-  switch (op) {
-    case static_cast<uint8_t>(Op::kHalt):
-    case static_cast<uint8_t>(Op::kJmp):
-    case static_cast<uint8_t>(Op::kJz):
-    case static_cast<uint8_t>(Op::kJnz):
-    case static_cast<uint8_t>(Op::kCall):
-    case static_cast<uint8_t>(Op::kRet):
-    case static_cast<uint8_t>(Op::kRetV):
-    case kOpEndOfCode:
-      return true;
-    default:
-      return op >= kOpFusedEqJz && op <= kOpFusedGtUJnz;
-  }
 }
 
 // The run-time sandbox faults iff `addr > limit || limit - addr < width`
@@ -110,7 +85,7 @@ bool ProvablyFaults(const Interval& addr, uint64_t width, uint64_t limit) {
 // by construction then; deciding from intermediate fixpoint states would
 // be unsound, since those states only grow).
 template <typename EdgeFn>
-Status WalkBlock(const std::vector<DecodedInsn>& code, const std::vector<uint8_t>& leader,
+Status WalkBlock(const std::vector<DecodedInsn>& code, const std::vector<uint8_t>& block_start,
                  uint32_t lead, AbsState s, uint64_t limit, EdgeFn&& edge,
                  ProgramAnalysis* out) {
   const size_t n = code.size();
@@ -121,38 +96,34 @@ Status WalkBlock(const std::vector<DecodedInsn>& code, const std::vector<uint8_t
       out->reachable[i] = 1;
     }
 
-    if (op == kOpCheckStack) {
-      const uint64_t need = StackCheckNeed(insn.imm);
-      const uint64_t grow = StackCheckGrow(insn.imm);
-      if (s.depth_hi() < need || s.depth_lo() + grow > kStackSlots) {
-        // Every execution reaching this check faults on it: the rest of the
-        // block is dead and the check must stay — it IS the fault. Not a
-        // rejection: stack-shape faults are the sandbox working as designed
-        // (tests feed underflowing programs on purpose).
-        return OkStatus();
-      }
-      if (out != nullptr && s.depth_lo() >= need && s.depth_hi() + grow <= kStackSlots) {
-        // Every predecessor state already guarantees the envelope: the
-        // check can never fire and is dropped from the final stream.
-        out->drop_check[i] = 1;
-        ++out->dropped_stack_checks;
-      }
-      // Refine with what surviving the check proves: depth >= need and
-      // depth + grow <= kStackSlots. (Neither clamp can cross — the
-      // always-faults cases were excluded above.)
-      if (need > s.known.size()) {
-        s.base_lo = std::max<uint32_t>(s.base_lo, static_cast<uint32_t>(need - s.known.size()));
-      }
-      const uint64_t cap = kStackSlots - grow;  // >= depth_lo >= known.size()
-      s.base_hi = std::min<uint32_t>(s.base_hi, static_cast<uint32_t>(cap - s.known.size()));
-      if (i + 1 < n && leader[i + 1]) {  // can't happen (checks lead blocks); stay safe
-        edge(static_cast<uint32_t>(i + 1), s);
-        return OkStatus();
-      }
-      continue;
-    }
-
     switch (op) {
+      case kOpCheckStack: {
+        const uint64_t need = StackCheckNeed(insn.imm);
+        const uint64_t grow = StackCheckGrow(insn.imm);
+        if (s.depth_hi() < need || s.depth_lo() + grow > kStackSlots) {
+          // Every execution reaching this check faults on it: the rest of
+          // the block is dead and the check must stay — it IS the fault. Not
+          // a rejection: stack-shape faults are the sandbox working as
+          // designed (tests feed underflowing programs on purpose).
+          return OkStatus();
+        }
+        if (out != nullptr && s.depth_lo() >= need && s.depth_hi() + grow <= kStackSlots) {
+          // Every predecessor state already guarantees the envelope: the
+          // check can never fire and is dropped from the final stream.
+          out->drop_check[i] = 1;
+          ++out->dropped_stack_checks;
+        }
+        // Refine with what surviving the check proves: depth >= need and
+        // depth + grow <= kStackSlots. (Neither clamp can cross — the
+        // always-faults cases were excluded above.)
+        if (need > s.known.size()) {
+          s.base_lo =
+              std::max<uint32_t>(s.base_lo, static_cast<uint32_t>(need - s.known.size()));
+        }
+        const uint64_t cap = kStackSlots - grow;  // >= depth_lo >= known.size()
+        s.base_hi = std::min<uint32_t>(s.base_hi, static_cast<uint32_t>(cap - s.known.size()));
+        break;
+      }
       case static_cast<uint8_t>(Op::kHalt):
       case static_cast<uint8_t>(Op::kRet):
       case kOpEndOfCode:
@@ -309,12 +280,22 @@ Status WalkBlock(const std::vector<DecodedInsn>& code, const std::vector<uint8_t
       case static_cast<uint8_t>(Op::kLoad8):
       case static_cast<uint8_t>(Op::kLoad16):
       case static_cast<uint8_t>(Op::kLoad32):
-      case static_cast<uint8_t>(Op::kLoad64): {
+      case static_cast<uint8_t>(Op::kLoad64):
+      case static_cast<uint8_t>(Op::kStore8):
+      case static_cast<uint8_t>(Op::kStore16):
+      case static_cast<uint8_t>(Op::kStore32):
+      case static_cast<uint8_t>(Op::kStore64): {
+        const bool store = op >= static_cast<uint8_t>(Op::kStore8);
+        if (store) {
+          Pop(s);  // value
+        }
         Interval addr = Pop(s);
         const uint64_t width = AccessWidth(op);
         if (out != nullptr) {
           if (ProvablyFaults(addr, width, limit)) {
-            return Status(ErrorCode::kOutOfRange, "analysis: load provably out of bounds");
+            return Status(ErrorCode::kOutOfRange, store
+                                                      ? "analysis: store provably out of bounds"
+                                                      : "analysis: load provably out of bounds");
           }
           if (ProvablyInBounds(addr, width, limit)) {
             out->elide[i] = 1;
@@ -322,25 +303,8 @@ Status WalkBlock(const std::vector<DecodedInsn>& code, const std::vector<uint8_t
             out->elide_floor = std::max(out->elide_floor, addr.hi + width);
           }
         }
-        Push(s, LoadResult(width));
-        break;
-      }
-      case static_cast<uint8_t>(Op::kStore8):
-      case static_cast<uint8_t>(Op::kStore16):
-      case static_cast<uint8_t>(Op::kStore32):
-      case static_cast<uint8_t>(Op::kStore64): {
-        Pop(s);  // value
-        Interval addr = Pop(s);
-        const uint64_t width = AccessWidth(op);
-        if (out != nullptr) {
-          if (ProvablyFaults(addr, width, limit)) {
-            return Status(ErrorCode::kOutOfRange, "analysis: store provably out of bounds");
-          }
-          if (ProvablyInBounds(addr, width, limit)) {
-            out->elide[i] = 1;
-            ++out->elided_accesses;
-            out->elide_floor = std::max(out->elide_floor, addr.hi + width);
-          }
+        if (!store) {
+          Push(s, LoadResult(width));
         }
         break;
       }
@@ -379,59 +343,14 @@ Status WalkBlock(const std::vector<DecodedInsn>& code, const std::vector<uint8_t
         Push(s, Interval::Top());
         break;
       }
-      default: {
-        if (op >= kOpFusedPushLoad8 && op <= kOpFusedPushLoad64) {
-          const Interval addr = Interval::Const(insn.imm);
-          const uint64_t width = AccessWidth(op);
-          if (out != nullptr) {
-            if (ProvablyFaults(addr, width, limit)) {
-              return Status(ErrorCode::kOutOfRange, "analysis: load provably out of bounds");
-            }
-            if (ProvablyInBounds(addr, width, limit)) {
-              out->elide[i] = 1;
-              ++out->elided_accesses;
-              out->elide_floor = std::max(out->elide_floor, addr.hi + width);
-            }
-          }
-          Push(s, LoadResult(width));
-          break;
-        }
-        if (op >= kOpFusedEqJz && op <= kOpFusedGtUJnz) {
-          Interval r = Pop(s);
-          Interval l = Pop(s);
-          if (l.IsConst() && r.IsConst()) {
-            bool taken = false;
-            switch (op) {  // branch conditions exactly as vm.cc dispatches them
-              case kOpFusedEqJz: taken = l.lo != r.lo; break;
-              case kOpFusedEqJnz: taken = l.lo == r.lo; break;
-              case kOpFusedNeJz: taken = l.lo == r.lo; break;
-              case kOpFusedNeJnz: taken = l.lo != r.lo; break;
-              case kOpFusedLtUJz: taken = l.lo >= r.lo; break;
-              case kOpFusedLtUJnz: taken = l.lo < r.lo; break;
-              case kOpFusedGtUJz: taken = l.lo <= r.lo; break;
-              default: taken = l.lo > r.lo; break;
-            }
-            if (taken) {
-              edge(insn.target, s);
-            } else if (i + 1 < n) {
-              edge(static_cast<uint32_t>(i + 1), s);
-            }
-          } else {
-            edge(insn.target, s);
-            if (i + 1 < n) {
-              edge(static_cast<uint32_t>(i + 1), s);
-            }
-          }
-          return OkStatus();
-        }
+      default:
         // Anything else is a verifier invariant violation.
         return Status(ErrorCode::kInternal, "analysis: unexpected decoded opcode");
-      }
     }
 
-    // Straight-line fall-through. Stop at the next block leader so every
+    // Straight-line fall-through. Stop at the next block start so every
     // slot is owned by exactly one block.
-    if (i + 1 < n && leader[i + 1]) {
+    if (i + 1 < n && block_start[i + 1]) {
       edge(static_cast<uint32_t>(i + 1), s);
       return OkStatus();
     }
@@ -491,6 +410,7 @@ bool JoinInto(AbsState& dst, const AbsState& src, bool widen) {
 
 Result<ProgramAnalysis> AnalyzeProgram(const std::vector<DecodedInsn>& code,
                                        const std::vector<uint32_t>& entry_points,
+                                       const std::vector<uint8_t>& block_start,
                                        uint64_t memory_bytes) {
   const size_t n = code.size();
   ProgramAnalysis out;
@@ -502,33 +422,29 @@ Result<ProgramAnalysis> AnalyzeProgram(const std::vector<DecodedInsn>& code,
   }
   const uint64_t limit = UsableMemorySize(memory_bytes);
 
-  // Block leaders in decoded space: entry points, branch/call targets, and
-  // the slot after every terminator (conditional fall-throughs, call
-  // returns). Every CFG edge WalkBlock emits lands on one of these.
-  std::vector<uint8_t> leader(n, 0);
-  for (uint32_t e : entry_points) {
-    leader[e] = 1;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (HasJumpTarget(code[i].op)) {
-      leader[code[i].target] = 1;
-    }
-    if (IsDecodedTerminator(code[i].op) && i + 1 < n) {
-      leader[i + 1] = 1;
+  // Block-entry states are kept per block, not per slot: every CFG edge
+  // lands on a block start, and `block_of` numbers the starts in slot order.
+  std::vector<uint32_t> block_of(n, 0);
+  std::vector<uint32_t> starts;
+  for (uint32_t i = 0; i < n; ++i) {
+    if (block_start[i]) {
+      block_of[i] = static_cast<uint32_t>(starts.size());
+      starts.push_back(i);
     }
   }
 
   // Worklist fixpoint over block-entry states.
-  std::vector<AbsState> in_state(n);
-  std::vector<uint32_t> join_count(n, 0);
-  std::vector<uint8_t> queued(n, 0);
+  std::vector<AbsState> in_state(starts.size());
+  std::vector<uint32_t> join_count(starts.size(), 0);
+  std::vector<uint8_t> queued(starts.size(), 0);
   std::vector<uint32_t> worklist;
   auto edge = [&](uint32_t to, const AbsState& s) {
-    if (JoinInto(in_state[to], s, join_count[to] >= kWidenAfter)) {
-      ++join_count[to];
-      if (!queued[to]) {
-        queued[to] = 1;
-        worklist.push_back(to);
+    const uint32_t b = block_of[to];
+    if (JoinInto(in_state[b], s, join_count[b] >= kWidenAfter)) {
+      ++join_count[b];
+      if (!queued[b]) {
+        queued[b] = 1;
+        worklist.push_back(b);
       }
     }
   };
@@ -536,10 +452,10 @@ Result<ProgramAnalysis> AnalyzeProgram(const std::vector<DecodedInsn>& code,
     edge(e, AbsState::Entry());  // methods start on an exactly-empty stack
   }
   while (!worklist.empty()) {
-    const uint32_t lead = worklist.back();
+    const uint32_t b = worklist.back();
     worklist.pop_back();
-    queued[lead] = 0;
-    (void)WalkBlock(code, leader, lead, in_state[lead], limit, edge, nullptr);
+    queued[b] = 0;
+    (void)WalkBlock(code, block_start, starts[b], in_state[b], limit, edge, nullptr);
   }
 
   // Decision pass: one more walk of every reachable block against its FINAL
@@ -547,12 +463,11 @@ Result<ProgramAnalysis> AnalyzeProgram(const std::vector<DecodedInsn>& code,
   // and provably-faulting reachable ops turned into rejections — deciding
   // any earlier would read states that were still growing.
   auto no_edge = [](uint32_t, const AbsState&) {};
-  for (uint32_t lead = 0; lead < n; ++lead) {
-    if (!leader[lead] || !in_state[lead].reachable) {
-      continue;
+  for (uint32_t b = 0; b < starts.size(); ++b) {
+    if (in_state[b].reachable) {
+      PARA_RETURN_IF_ERROR(
+          WalkBlock(code, block_start, starts[b], in_state[b], limit, no_edge, &out));
     }
-    PARA_RETURN_IF_ERROR(
-        WalkBlock(code, leader, lead, in_state[lead], limit, no_edge, &out));
   }
 
   for (size_t i = 0; i < n; ++i) {
@@ -562,8 +477,6 @@ Result<ProgramAnalysis> AnalyzeProgram(const std::vector<DecodedInsn>& code,
     const uint8_t op = code[i].op;
     if (op < static_cast<uint8_t>(Op::kOpCount)) {
       ++out.unreachable_insns;
-    } else if (op >= kOpFusedPushLoad8 && op <= kOpFusedGtUJnz) {
-      out.unreachable_insns += 2;  // a fused pair is two byte instructions
     } else if (op == kOpCheckStack) {
       // A check no execution reaches can never fire; drop it with the rest.
       out.drop_check[i] = 1;

@@ -4,6 +4,11 @@
 // load time (the paper's §4 "all run time checks can then be omitted",
 // applied to individual accesses instead of whole programs).
 //
+// It reads the plain stream Verify() emits before its final rewrite: the
+// byte ISA's opcodes plus the two synthetics, kCheckStack and kEndOfCode.
+// Superinstructions do not exist yet at that point (verifier.cc fuses after
+// the analysis), so the analyzer has no model of them.
+//
 // Domains:
 //  * values — unsigned 64-bit intervals [lo, hi] over the operand stack.
 //    Constants stay exact through push/dup/swap and the arithmetic the
@@ -19,7 +24,8 @@
 //    terminates and loop bodies fall back soundly to ⊤ rather than iterate
 //    unboundedly.
 //
-// What the results are used for (verifier.cc applies them):
+// What the results are used for (verifier.cc applies them, flags first, then
+// in the one rewrite that drops checks and fuses superinstructions):
 //  * accesses whose address interval provably fits the declared memory size
 //    get the kInsnProvenInBounds flag (verified_program.h), which lets both
 //    backends skip their range test, with `elide_floor` recording the
@@ -129,17 +135,21 @@ struct ProgramAnalysis {
   uint64_t elide_floor = 0;         // max addr+width among elided accesses
   size_t elided_accesses = 0;
   size_t dropped_stack_checks = 0;
-  size_t unreachable_insns = 0;     // real (metered) instructions, fused = 2
+  size_t unreachable_insns = 0;     // real (metered) instructions
 };
 
-// Runs the pass over a decoded stream as Verify() built it (kCheckStack
-// synthetics in place, jump targets resolved, sentinel present; fused or
-// not). Returns the proof obligations discharged, or the rejection Status
-// for a reachable provably-faulting access (kOutOfRange) or provable
-// divide-by-zero (kInvalidArgument) — deliberately the same codes the
-// run-time faults carry, so rejection is the same failure moved earlier.
+// Runs the pass over the plain decoded stream (kCheckStack synthetics in
+// place, jump targets resolved, sentinel present, nothing fused).
+// `block_start` is indexed by slot and marks the first slot of every basic
+// block: the verifier's leaders mapped to decoded slots (a block's check if
+// it has one) and the sentinel; every CFG edge lands on one. Returns the
+// proof obligations discharged, or the rejection Status for a reachable
+// provably-faulting access (kOutOfRange) or provable divide-by-zero
+// (kInvalidArgument) — deliberately the same codes the run-time faults
+// carry, so rejection is the same failure moved earlier.
 Result<ProgramAnalysis> AnalyzeProgram(const std::vector<DecodedInsn>& code,
                                        const std::vector<uint32_t>& entry_points,
+                                       const std::vector<uint8_t>& block_start,
                                        uint64_t memory_bytes);
 
 }  // namespace para::sfi::analysis

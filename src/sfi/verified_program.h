@@ -45,11 +45,14 @@ inline constexpr uint8_t kOpEndOfCode = kOpCheckStack + 1;
 
 // Superinstructions: the hot decoded pairs compiled classifiers emit, fused
 // by the verifier into a single dispatch (threaded dispatch costs ~2 ns per
-// op, so a fused pair halves the loop overhead of that pair). A pair is only
-// fused when the second instruction is not a basic-block leader — nothing
-// can ever jump into the middle of a fused op. Each fused op meters as TWO
-// instructions (two fuel decrements, two retire counts, in order), so fuel
-// boundaries and VmStats stay bit-identical to the unfused stream.
+// op, so a fused pair halves the loop overhead of that pair). Fusion is the
+// verifier's last step, after the static analyzer has run on the plain
+// stream, so only the verifier and the two backends (vm.cc, jit.cc) know
+// these opcodes. A pair is only fused when the second instruction is not a
+// basic-block leader — nothing can ever jump into the middle of a fused op.
+// Each fused op meters as TWO instructions (two fuel decrements, two retire
+// counts, in order), so fuel boundaries and VmStats stay bit-identical to
+// the unfused stream.
 inline constexpr uint8_t kOpFusedPushLoad8 = kOpEndOfCode + 1;  // push imm; loadN
 inline constexpr uint8_t kOpFusedPushLoad16 = kOpEndOfCode + 2;
 inline constexpr uint8_t kOpFusedPushLoad32 = kOpEndOfCode + 3;
@@ -66,16 +69,17 @@ inline constexpr uint8_t kOpFusedGtUJnz = kOpEndOfCode + 12;
 inline constexpr size_t kDecodedOpCount = kOpFusedGtUJnz + 1;
 
 // DecodedInsn::flags bits.
-// kInsnProvenInBounds marks a load, store or fused push-load the static
-// analyzer (analysis.h) PROVED in bounds for every execution reaching it,
-// given the program's declared memory size. Sandboxed code then performs the
-// access with no range test but still charges `bounds_checks` (the access is
-// guarded — statically) plus `static_proofs` (how it was discharged), so
-// VmStats are identical whether or not the analyzer ran. The proof assumed
-// `mem_size >= VerifiedProgram::elide_floor`; both backends re-check that
-// single inequality per run and ignore the flag when an embedder shrank the
-// window (Burst re-basing, a shrunk memory()). Trusted code never checks
-// bounds, so the flag changes nothing there.
+// kInsnProvenInBounds marks a load, store or fused push-load (which takes
+// its load's flag) the static analyzer (analysis.h) PROVED in bounds for
+// every execution reaching it, given the program's declared memory size.
+// Sandboxed code then performs the access with no range test but still
+// charges `bounds_checks` (the access is guarded — statically) plus
+// `static_proofs` (how it was discharged), so VmStats are identical whether
+// or not the analyzer ran. The proof assumed `mem_size >=
+// VerifiedProgram::elide_floor`; both backends re-check that single
+// inequality per run and ignore the flag when an embedder shrank the window
+// (Burst re-basing, a shrunk memory()). Trusted code never checks bounds, so
+// the flag changes nothing there.
 inline constexpr uint16_t kInsnProvenInBounds = 1u << 0;
 
 // One pre-decoded instruction. 16 bytes, fixed width.
@@ -119,8 +123,6 @@ struct VerifiedProgram {
   std::vector<DecodedInsn> code;      // decoded stream + synthetics + sentinel
   std::vector<uint32_t> entry_points; // decoded-stream indices, per method slot
   VerifyReport report;
-  bool fused = false;  // whether the superinstruction pass ran (VerifyOptions)
-  bool analyzed = false;  // whether the static-analysis pass ran (VerifyOptions)
 
   // Minimum usable mem_size the analyzer's in-bounds proofs assumed: the
   // largest `addr + width` among proven accesses (0 when nothing was proven).

@@ -15,10 +15,10 @@ namespace {
 constexpr uint32_t kNoInsn = std::numeric_limits<uint32_t>::max();
 
 // The superinstruction table: returns the fused decoded opcode for the pair
-// (a, b), or 0 if the pair is not fusable. Only pairs whose first
-// instruction is pure stack traffic are fused, so a fault between the two
-// halves (fuel exhaustion, bounds violation) leaves nothing externally
-// visible half-done.
+// (a, b), or 0 if the pair is not fusable (a synthetic opcode, which `Op`'s
+// uint8_t range can hold, never is). Only pairs whose first instruction is
+// pure stack traffic are fused, so a fault between the two halves (fuel
+// exhaustion, bounds violation) leaves nothing externally visible half-done.
 uint8_t FusedOp(Op a, Op b) {
   if (a == Op::kPush) {
     switch (b) {
@@ -184,52 +184,29 @@ Result<VerifiedProgram> Verify(Program program, VerifyOptions options) {
     flush(block_leader);
   }
 
-  // Pass 5: emit the decoded stream. A block whose envelope is non-trivial
-  // gets a synthetic kCheckStack ahead of its first instruction; jump
-  // targets and entry points are rewritten to point at the check (so every
-  // entry into the block — branch or fall-through — runs it). With fusion
-  // enabled, a fusable pair whose second instruction is not a leader (no
-  // branch can land between the halves) collapses into one superinstruction
-  // slot; the second instruction's decoded position aliases that slot so the
-  // pair's own jump target is patched into the fused op below. A kEndOfCode
-  // sentinel terminates the stream so running off the end is an ordinary
-  // dispatch, not undefined behaviour.
+  // Pass 5: emit the plain decoded stream. A block whose envelope is
+  // non-trivial gets a synthetic kCheckStack ahead of its first instruction;
+  // jump targets and entry points are rewritten to point at the check (so
+  // every entry into the block — branch or fall-through — runs it). A
+  // kEndOfCode sentinel terminates the stream so running off the end is an
+  // ordinary dispatch, not undefined behaviour. `block_start` carries pass
+  // 3's leaders over to decoded slots: a block starts at its check, or at its
+  // first instruction when it has none; the sentinel is a block of its own.
   VerifiedProgram out;
   out.code.reserve(insns.size() + report.basic_blocks + 1);
   std::vector<uint32_t> decoded_pos(insns.size());    // insn -> its decoded slot
   std::vector<uint32_t> decoded_entry(insns.size());  // insn -> check slot if present
   for (size_t i = 0; i < insns.size(); ++i) {
+    decoded_entry[i] = static_cast<uint32_t>(out.code.size());
     if (leader[i] && (need_of[i] != 0 || grow_of[i] != 0)) {
       DecodedInsn check;
       check.op = kOpCheckStack;
       check.imm = PackStackCheck(need_of[i], grow_of[i]);
-      decoded_entry[i] = static_cast<uint32_t>(out.code.size());
       out.code.push_back(check);
       ++report.stack_checks;
-    } else {
-      decoded_entry[i] = static_cast<uint32_t>(out.code.size());
     }
     decoded_pos[i] = static_cast<uint32_t>(out.code.size());
     DecodedInsn decoded;
-    uint8_t fused = 0;
-    if (options.fuse_superinstructions && i + 1 < insns.size() && !leader[i + 1]) {
-      fused = FusedOp(insns[i].op, insns[i + 1].op);
-    }
-    if (fused != 0) {
-      decoded.op = fused;
-      if (insns[i].op == Op::kPush) {
-        std::memcpy(&decoded.imm, code.data() + insns[i].offset + 1, 8);
-      }
-      // The absorbed instruction shares the fused slot: jump fixups recorded
-      // against it (the jz/jnz half) land in the superinstruction. It can
-      // never be a jump target itself — that is the !leader condition.
-      decoded_pos[i + 1] = decoded_pos[i];
-      decoded_entry[i + 1] = decoded_pos[i];
-      out.code.push_back(decoded);
-      ++report.fused_pairs;
-      ++i;
-      continue;
-    }
     decoded.op = static_cast<uint8_t>(insns[i].op);
     switch (insns[i].op) {
       case Op::kPush:
@@ -254,74 +231,81 @@ Result<VerifiedProgram> Verify(Program program, VerifyOptions options) {
   DecodedInsn sentinel;
   sentinel.op = kOpEndOfCode;
   out.code.push_back(sentinel);
+  std::vector<uint8_t> block_start(out.code.size(), 0);
+  for (size_t i = 0; i < insns.size(); ++i) {
+    block_start[decoded_entry[i]] |= leader[i];
+  }
+  block_start.back() = 1;
 
   out.entry_points.reserve(program.entry_points.size());
   for (uint32_t entry : program.entry_points) {
     out.entry_points.push_back(decoded_entry[index_at[entry]]);
   }
 
-  // Pass 6 (optional): abstract interpretation over the finished stream.
-  // Three rewrites come back: provably in-bounds accesses get the
-  // kInsnProvenInBounds flag, kCheckStack slots implied by every
-  // predecessor are compacted out (targets and entry points remapped), and
-  // a reachable provably-faulting access or divide rejects the program here
+  // Pass 6 (optional): abstract interpretation over the plain stream.
+  // Provably in-bounds accesses get the kInsnProvenInBounds flag here; the
+  // kCheckStack slots implied by every predecessor are dropped by pass 7; a
+  // reachable provably-faulting access or divide rejects the program here
   // instead of faulting on some future packet.
+  analysis::ProgramAnalysis facts;
   if (options.analyze) {
-    auto analyzed =
-        analysis::AnalyzeProgram(out.code, out.entry_points, program.memory_bytes);
-    if (!analyzed.ok()) {
-      return analyzed.status();
-    }
-    const analysis::ProgramAnalysis& facts = *analyzed;
+    PARA_ASSIGN_OR_RETURN(facts, analysis::AnalyzeProgram(out.code, out.entry_points,
+                                                          block_start, program.memory_bytes));
     for (size_t i = 0; i < out.code.size(); ++i) {
       if (facts.elide[i]) {
         out.code[i].flags |= kInsnProvenInBounds;
       }
     }
-    if (facts.dropped_stack_checks > 0) {
-      // Compact the stream around dropped checks. A dropped slot's remap
-      // value equals the next kept slot's new index, so jump targets and
-      // entry points that pointed at a dropped check land on the first real
-      // instruction of its block.
-      std::vector<uint32_t> remap(out.code.size());
-      std::vector<DecodedInsn> compacted;
-      compacted.reserve(out.code.size() - facts.dropped_stack_checks);
-      for (size_t i = 0; i < out.code.size(); ++i) {
-        remap[i] = static_cast<uint32_t>(compacted.size());
-        if (!facts.drop_check[i]) {
-          compacted.push_back(out.code[i]);
-        }
-      }
-      for (DecodedInsn& insn : compacted) {
-        switch (insn.op) {
-          case static_cast<uint8_t>(Op::kJmp):
-          case static_cast<uint8_t>(Op::kJz):
-          case static_cast<uint8_t>(Op::kJnz):
-          case static_cast<uint8_t>(Op::kCall):
-            insn.target = remap[insn.target];
-            break;
-          default:
-            if (insn.op >= kOpFusedEqJz && insn.op <= kOpFusedGtUJnz) {
-              insn.target = remap[insn.target];
-            }
-            break;
-        }
-      }
-      out.code = std::move(compacted);
-      for (uint32_t& entry : out.entry_points) {
-        entry = remap[entry];
-      }
-      report.stack_checks -= facts.dropped_stack_checks;
-    }
+    report.stack_checks -= facts.dropped_stack_checks;
     report.elided_accesses = facts.elided_accesses;
     report.dropped_stack_checks = facts.dropped_stack_checks;
     report.unreachable_insns = facts.unreachable_insns;
-    out.analyzed = true;
     out.elide_floor = facts.elide_floor;
   }
 
+  // Pass 7: the one rewrite that renumbers the stream, compacting it in
+  // place. Dropped checks disappear. With fusion enabled, a fusable pair
+  // adjacent in the plain stream whose second instruction does not start a
+  // block (no branch can land between the halves) collapses into one
+  // superinstruction slot, which keeps the first half's immediate and takes
+  // the second half's flags (a load's proof) and, below, its branch target.
+  // Adjacency is judged before any check is dropped, so a dropped check
+  // still keeps its block's first instruction out of a pair. `remap` sends
+  // every plain slot to its final slot: a dropped check to the next kept
+  // slot (so jumps and entry points that pointed at it land on the first
+  // real instruction of its block), an absorbed second half to its
+  // superinstruction.
+  std::vector<uint32_t> remap(out.code.size());
+  size_t kept = 0;
+  for (size_t j = 0; j < out.code.size(); ++j) {
+    remap[j] = static_cast<uint32_t>(kept);
+    if (options.analyze && facts.drop_check[j]) {
+      continue;
+    }
+    DecodedInsn insn = out.code[j];
+    const uint8_t fused =
+        options.fuse_superinstructions && j + 1 < out.code.size() && !block_start[j + 1]
+            ? FusedOp(static_cast<Op>(insn.op), static_cast<Op>(out.code[j + 1].op))
+            : 0;
+    if (fused != 0) {
+      insn.op = fused;
+      insn.flags = out.code[j + 1].flags;
+      remap[j + 1] = remap[j];
+      ++j;
+      ++report.fused_pairs;
+    }
+    out.code[kept++] = insn;
+  }
+  out.code.resize(kept);
+  out.code.shrink_to_fit();  // the artifact keeps only the final stream
+  for (const auto& [from, to] : jumps) {
+    out.code[remap[decoded_pos[from]]].target = remap[decoded_entry[to]];
+  }
+  for (uint32_t& entry : out.entry_points) {
+    entry = remap[entry];
+  }
+
   out.report = report;
-  out.fused = options.fuse_superinstructions;
   out.program = std::move(program);
   // Every verified artifact gets a JIT slot so compiled code is shared by
   // all Vms bound to it. Compilation itself stays lazy — first JIT run.

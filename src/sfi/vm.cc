@@ -8,16 +8,6 @@
 #include "src/sfi/analysis.h"
 #include "src/sfi/jit.h"
 
-// Threaded-code dispatch needs GNU labels-as-values; every supported
-// toolchain (gcc, clang) has them. Anything else falls back to a switch
-// loop over the same pre-decoded stream — identical semantics, one extra
-// indirect branch per instruction.
-#if defined(__GNUC__) || defined(__clang__)
-#define PARA_SFI_THREADED 1
-#else
-#define PARA_SFI_THREADED 0
-#endif
-
 namespace para::sfi {
 
 namespace {
@@ -40,9 +30,6 @@ static_assert(analysis::UsableMemorySize(1) == 1 && analysis::UsableMemorySize(2
                   analysis::UsableMemorySize(4096) == 4096 &&
                   analysis::UsableMemorySize(4097) == 8192,
               "analyzer bounds proofs assume the VM memory rounding");
-
-[[maybe_unused]] constexpr uint8_t OpIndex(Op op) { return static_cast<uint8_t>(op); }
-[[maybe_unused]] constexpr uint8_t OpIndex(uint8_t raw) { return raw; }
 
 // Codes and messages are byte-identical to RunImpl's: callers (and the
 // differential tests) must not be able to tell the backends apart.
@@ -388,7 +375,10 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
     ++counters.instructions;                                          \
   } while (0)
 
-#if PARA_SFI_THREADED
+  // Threaded-code dispatch through GNU labels-as-values, which every
+  // supported toolchain (GCC 12+, Clang 16+) has. The table is indexed by
+  // decoded opcode, so its order is the opcode order; VM_OP's second
+  // argument names the opcode each label implements.
   static const void* const kLabels[kDecodedOpCount] = {
       &&lbl_halt,       &&lbl_push,       &&lbl_drop,       &&lbl_dup,        &&lbl_swap,
       &&lbl_add,        &&lbl_sub,        &&lbl_mul,        &&lbl_divu,       &&lbl_remu,
@@ -407,21 +397,6 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
     insn = code + pc;             \
     goto* kLabels[insn->op];      \
   } while (0)
-#define VM_DISPATCH_BEGIN() VM_NEXT();
-#define VM_DISPATCH_END()
-#else
-#define VM_OP(name, value) case OpIndex(value):
-#define VM_NEXT() continue
-#define VM_DISPATCH_BEGIN() \
-  for (;;) {                \
-    insn = code + pc;       \
-    switch (insn->op) {
-#define VM_DISPATCH_END()                                          \
-  default:                                                         \
-    return Status(ErrorCode::kInternal, "bad decoded opcode");     \
-    }                                                              \
-    }
-#endif
 
 #define VM_BINOP(name, value, expr)  \
   VM_OP(name, value) {               \
@@ -510,7 +485,7 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
     VM_NEXT();                                                        \
   }
 
-  VM_DISPATCH_BEGIN()
+  VM_NEXT();
 
   VM_OP(halt, Op::kHalt) {
     VM_METER();
@@ -677,13 +652,9 @@ Result<uint64_t> Vm::RunImpl(size_t method, uint64_t a0, uint64_t a1, uint64_t a
   VM_FUSED_CMP_JUMP(gtujz, kOpFusedGtUJz, lhs <= rhs)
   VM_FUSED_CMP_JUMP(gtujnz, kOpFusedGtUJnz, lhs > rhs)
 
-  VM_DISPATCH_END()
-
 #undef VM_METER
 #undef VM_OP
 #undef VM_NEXT
-#undef VM_DISPATCH_BEGIN
-#undef VM_DISPATCH_END
 #undef VM_BINOP
 #undef VM_GUARD
 #undef VM_LOAD

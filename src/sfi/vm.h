@@ -157,7 +157,7 @@ class Vm {
 
   // The dispatch loop, specialized per mode at compile time so trusted
   // execution carries no residue of the sandbox checks. Computed-goto
-  // threaded code under GCC/Clang, a switch loop elsewhere.
+  // threaded code (GNU labels-as-values).
   // `mem_off` re-bases guest address 0 to memory_[mem_off] (burst descriptor
   // slots); sandboxed bounds shrink by the same offset, so the check
   // semantics are those of a memory that starts at the slot.

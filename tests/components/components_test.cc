@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "src/components/allocator.h"
@@ -330,6 +331,25 @@ TEST_F(ComponentsTest, PacketSnoopCapturesPayloads) {
   EXPECT_EQ((*iface)->Invoke(2), 0xAAAAu);
 }
 
+TEST_F(ComponentsTest, PacketSnoopForwardsAnOversizeSendWithoutCapturing) {
+  // A length past any frame sizes no copy: the snoop captures nothing, and
+  // the driver still sees the call and refuses it itself.
+  auto* kernel = nucleus_->kernel_context();
+  auto driver = NetDriver::Create(&nucleus_->vmem(), &nucleus_->events(), net_a_, kernel);
+  ASSERT_TRUE(driver.ok());
+  auto snoop = PacketSnoop::Wrap(driver->get(), &nucleus_->vmem(), kernel);
+  ASSERT_TRUE(snoop.ok());
+  auto iface = (*snoop)->GetInterface(NetDriverType()->name());
+  ASSERT_TRUE(iface.ok());
+  auto buf = nucleus_->vmem().AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  ASSERT_TRUE(buf.ok());
+
+  const uint64_t calls = (*driver)->Invocations(0, 0, 0, 0);
+  EXPECT_EQ((*iface)->Invoke(0, *buf, uint64_t{1} << 62), ~uint64_t{0});
+  EXPECT_EQ((*driver)->Invocations(0, 0, 0, 0), calls + 1);
+  EXPECT_TRUE((*snoop)->captured().empty());
+}
+
 TEST_F(ComponentsTest, ThreadPackageComponent) {
   ThreadPackage pkg(&nucleus_->scheduler());
   auto iface = pkg.GetInterface(ThreadPackageType()->name());
@@ -361,6 +381,34 @@ TEST_F(ComponentsTest, ConsoleDriverWrites) {
                                          reinterpret_cast<const uint8_t*>(msg), 4)).ok());
   EXPECT_EQ((*iface)->Invoke(1, *buf, 4), 4u);
   EXPECT_EQ(console_->output(), "Hello");
+}
+
+TEST_F(ComponentsTest, ConsoleDriverHugeWriteStopsAtTheFirstFault) {
+  // A length far past any mapping sizes no allocation: the driver writes
+  // every readable byte, across a page boundary, and returns that count at
+  // the first unmapped page.
+  auto* kernel = nucleus_->kernel_context();
+  auto driver = ConsoleDriver::Create(&nucleus_->vmem(), console_, kernel);
+  ASSERT_TRUE(driver.ok());
+  auto iface = (*driver)->GetInterface(ConsoleType()->name());
+  ASSERT_TRUE(iface.ok());
+  auto buf = nucleus_->vmem().AllocatePages(kernel, 3, nucleus::kProtReadWrite);
+  ASSERT_TRUE(buf.ok());
+  ASSERT_TRUE(nucleus_->vmem().FreePages(kernel, *buf + 2 * nucleus::kPageSize, 1).ok());
+  const uint64_t start = *buf + nucleus::kPageSize - 100;
+  std::string text;
+  for (size_t i = 0; i < nucleus::kPageSize + 100; ++i) {
+    text.push_back(static_cast<char>('a' + i % 26));
+  }
+  ASSERT_TRUE(nucleus_->vmem()
+                  .Write(kernel, start,
+                         std::span<const uint8_t>(
+                             reinterpret_cast<const uint8_t*>(text.data()), text.size()))
+                  .ok());
+
+  console_->ClearOutput();
+  EXPECT_EQ((*iface)->Invoke(1, start, uint64_t{1} << 62), text.size());
+  EXPECT_EQ(console_->output(), text);
 }
 
 TEST_F(ComponentsTest, ConsoleDriverReads) {

@@ -98,8 +98,8 @@ TEST_F(StackSlotMapTest, StackSlotsMatchTableAndRegistry) {
 
   for (size_t slot = 0; slot < std::size(net::kStackStatsSlots); ++slot) {
     const std::string_view slot_name = net::kStackStatsSlots[slot].name;
-    if (slot == 11) {
-      // Reserved slot: no name, no metric, always reads 0.
+    if (slot == 7 || slot == 11) {
+      // Reserved slots: no name, no metric, always read 0.
       EXPECT_TRUE(slot_name.empty());
       EXPECT_EQ((*iface)->Invoke(3, slot), 0u);
       continue;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/components/net_driver.h"
 #include "tests/components/test_fixture.h"
 
@@ -104,6 +106,43 @@ TEST_F(StackComponentTest, KernelToKernelDatagram) {
   EXPECT_EQ(RoundTrip(tx->get(), rx->get(), 80, "kernel to kernel"), "kernel to kernel");
   EXPECT_EQ((*tx)->stack().stats().datagrams_out, 1u);
   EXPECT_EQ((*rx)->stack().stats().datagrams_in, 1u);
+}
+
+TEST_F(StackComponentTest, OversizeDatagramDoesNotStrandTheOneBehindIt) {
+  // A 100-B datagram, then a 40-B one, read with a 64-B buffer: the first is
+  // dropped and counted, and the same recv returns the second.
+  auto* kernel = nucleus_->kernel_context();
+  auto tx = StackComponent::Create(Deps(), kernel, "/shared/net0",
+                                   net::StackConfig{0xAAAA, 0x0A000001});
+  auto rx = StackComponent::Create(Deps(), kernel, "/shared/net1",
+                                   net::StackConfig{0xBBBB, 0x0A000002});
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE(rx.ok());
+  (*tx)->stack().AddNeighbor(0x0A000002, 0xBBBB);
+  (*rx)->stack().AddNeighbor(0x0A000001, 0xAAAA);
+  auto siface = (*tx)->GetInterface(StackType()->name());
+  auto riface = (*rx)->GetInterface(StackType()->name());
+  ASSERT_TRUE(siface.ok());
+  ASSERT_TRUE(riface.ok());
+  ASSERT_EQ((*riface)->Invoke(1, 80), 0u);
+
+  auto* vmem = &nucleus_->vmem();
+  auto sbuf = vmem->AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  auto rbuf = vmem->AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  ASSERT_TRUE(sbuf.ok());
+  ASSERT_TRUE(rbuf.ok());
+  std::vector<uint8_t> payload(100, 'x');
+  ASSERT_TRUE(vmem->Write(kernel, *sbuf, payload).ok());
+  const uint64_t ports = (uint64_t{9999} << 16) | 80;
+  ASSERT_EQ((*siface)->Invoke(0, 0x0A000002, ports, *sbuf, 100), 0u);
+  ASSERT_EQ((*siface)->Invoke(0, 0x0A000002, ports, *sbuf, 40), 0u);
+  machine_.Advance(500);
+  Settle();
+
+  EXPECT_EQ((*riface)->Invoke(2, 80, *rbuf, 64), 40u);
+  EXPECT_EQ((*rx)->datagrams_oversize(), 1u);
+  EXPECT_EQ((*riface)->Invoke(2, 80, *rbuf, 64), 0u);  // nothing left
+  EXPECT_EQ((*rx)->datagrams_oversize(), 1u);
 }
 
 TEST_F(StackComponentTest, UserPlacedStackStillMovesDatagrams) {

@@ -305,7 +305,7 @@ TEST(StackBurstTest, OnFrameBurstMatchesPerFrameIngress) {
   EXPECT_EQ(bs.datagrams_in, ss.datagrams_in);
   EXPECT_EQ(bs.drops_bad_frame, ss.drops_bad_frame);
   EXPECT_EQ(bs.drops_not_for_us, ss.drops_not_for_us);
-  EXPECT_EQ(bs.drops_filtered, ss.drops_filtered);
+  EXPECT_EQ(bs.filter_drop + bs.filter_reject, ss.filter_drop + ss.filter_reject);
   EXPECT_EQ(bs.filter_pass, ss.filter_pass);
   EXPECT_EQ(bs.filter_drop, ss.filter_drop);
   ExpectFiltersIdentical(**single_filter, **batch_filter);

@@ -136,7 +136,7 @@ TEST_F(FilterIntegrationTest, IngressVerdictsAndEventNotifications) {
   EXPECT_EQ(stats.filter_pass, 2u);
   EXPECT_EQ(stats.filter_reject, 1u);
   EXPECT_EQ(stats.filter_drop, 1u);
-  EXPECT_EQ(stats.drops_filtered, 2u);
+  EXPECT_EQ(stats.filter_drop + stats.filter_reject, 2u);
   EXPECT_EQ(stats.datagrams_in, 2u);
   EXPECT_EQ((*filter)->stats().proc_invocations, 1u);
 
@@ -168,7 +168,7 @@ TEST_F(FilterIntegrationTest, EgressFilterBlocksAtTheSource) {
   Status blocked = Send(4000, 9999, "should not leave");
   EXPECT_EQ(blocked.code(), ErrorCode::kPermissionDenied);
   EXPECT_EQ(net_a_->frames_sent(), frames_before);  // never hit the wire
-  EXPECT_EQ(tx_->stack().stats().drops_filtered, 1u);
+  EXPECT_EQ(tx_->stack().stats().filter_drop + tx_->stack().stats().filter_reject, 1u);
 
   EXPECT_TRUE(Send(4000, 80, "fine").ok());
   ASSERT_EQ(delivered_.size(), 1u);
@@ -204,7 +204,7 @@ TEST_F(FilterIntegrationTest, HotReloadKeepsEstablishedFlowsAcrossModes) {
   EXPECT_TRUE(Send(4001, 80, "new flow").ok());
   ASSERT_EQ(delivered_.size(), 2u);
   EXPECT_EQ(delivered_[1].second, "data after lockdown");
-  EXPECT_EQ(rx_->stack().stats().drops_filtered, 1u);
+  EXPECT_EQ(rx_->stack().stats().filter_drop + rx_->stack().stats().filter_reject, 1u);
   EXPECT_EQ((*filter)->stats().flow_hits, 1u);
 
   // Hot reload #2: back to a sandboxed set; the flow still survives.

@@ -89,7 +89,6 @@ TEST(AnalysisTest, ConstantAccessesAreElidedAndCounted) {
       "add\n"
       "push 16\nswap\nstore64\n"
       "push 16\nload64\nretv");
-  EXPECT_TRUE(verified.analyzed);
   EXPECT_EQ(verified.report.elided_accesses, 4u);
   EXPECT_EQ(verified.report.unreachable_insns, 0u);
   // Floor = the largest addr+width the proofs assumed: 16 + 8.
@@ -117,7 +116,6 @@ TEST(AnalysisTest, ConstantAccessesAreElidedAndCounted) {
 
 TEST(AnalysisTest, AnalyzeOffLeavesEverythingChecked) {
   auto verified = MustVerify("push 0\nload64\nretv", {.analyze = false});
-  EXPECT_FALSE(verified.analyzed);
   EXPECT_EQ(verified.report.elided_accesses, 0u);
   EXPECT_EQ(verified.elide_floor, 0u);
   Vm vm(&verified, ExecMode::kSandboxed);
@@ -234,7 +232,9 @@ TEST(AnalysisTest, ProvableDivideByZeroIsRejected) {
   }
   // A *possible* zero divisor (range includes 0 but isn't pinned to it)
   // must NOT be rejected — that is the run-time fault's job.
-  EXPECT_TRUE(MustVerify("push 7\nldarg 0\ndivu\nretv").analyzed);
+  auto possible = Assembler::Assemble("push 7\nldarg 0\ndivu\nretv");
+  ASSERT_TRUE(possible.ok());
+  EXPECT_TRUE(Verify(*possible).ok());
 }
 
 TEST(AnalysisTest, UnreachableFaultIsNotRejected) {
