@@ -5,8 +5,8 @@
 // StackComponent is bound to the driver either directly (same protection
 // domain) or through the fault-based proxy; the measured gap in datagram
 // throughput is the configurability dividend that certification makes safe
-// to claim. The FCS and checksum rows price the sums every frame pays on
-// that path.
+// to claim. BM_StackRxBurst prices the stack's receive body on its own, and
+// the FCS and checksum rows the sums every frame pays on that path.
 #include <benchmark/benchmark.h>
 
 #include <array>
@@ -20,6 +20,8 @@
 #include "src/components/net_driver.h"
 #include "src/components/protocol_stack.h"
 #include "src/net/headers.h"
+#include "src/net/pktbuf.h"
+#include "src/net/stack.h"
 #include "src/nucleus/nucleus.h"
 
 namespace {
@@ -139,6 +141,49 @@ void BM_StackInUserDomain(benchmark::State& state) {
   RunPlacement(state, /*user_placed=*/true);
 }
 
+// The stack's receive body alone, no filter: one OnFrameBurst of
+// state.range(0) prebuilt 64-B frames, each to one of 64 bound ports picked
+// at random; every handler reads its payload.
+void BM_StackRxBurst(benchmark::State& state) {
+  constexpr net::IpAddr kIp = 0x0A000002;
+  constexpr net::MacAddr kMac = 0xBBBB;
+  constexpr net::Port kFirstPort = 1000;
+  constexpr size_t kPorts = 64;
+  constexpr size_t kPayload = 22;  // a 64-B frame less 42 B of headers and FCS
+  net::ProtocolStack stack(net::StackConfig{kMac, kIp},
+                           [](std::span<const uint8_t>) { return OkStatus(); });
+  uint64_t read = 0;
+  auto handler = [&read](const net::Datagram& d) {
+    read += d.payload.size() + d.payload.data()[0];
+  };
+  for (size_t p = 0; p < kPorts; ++p) {
+    PARA_CHECK(stack.BindPort(static_cast<net::Port>(kFirstPort + p), handler).ok());
+  }
+  para::Random rng(0x5B);
+  std::vector<std::vector<uint8_t>> frames(static_cast<size_t>(state.range(0)));
+  for (std::vector<uint8_t>& frame : frames) {
+    const std::vector<uint8_t> payload(kPayload, static_cast<uint8_t>(rng.Next()));
+    const auto src_port = static_cast<net::Port>(1024 + rng.NextBelow(60000));
+    const auto dst_port = static_cast<net::Port>(kFirstPort + rng.NextBelow(kPorts));
+    const uint32_t src_ip = 0x0A010000u | static_cast<uint32_t>(rng.NextBelow(1u << 16));
+    net::PacketBuffer packet;
+    packet.Append(payload);
+    net::UdpEncap(packet, net::UdpHeader{src_port, dst_port, 0});
+    net::IpEncap(packet, net::IpHeader{64, net::kIpProtoUdpLite, src_ip, kIp, 0});
+    net::EthEncap(packet, net::EthHeader{kMac, 0xAAAA, net::kEtherTypeIpLite});
+    frame.assign(packet.data().begin(), packet.data().end());
+    PARA_CHECK(frame.size() == 64);
+  }
+  const std::vector<std::span<const uint8_t>> burst(frames.begin(), frames.end());
+  for (auto _ : state) {
+    stack.OnFrameBurst(burst);
+  }
+  benchmark::DoNotOptimize(read);
+  const auto packets = static_cast<int64_t>(state.iterations()) * state.range(0);
+  PARA_CHECK(stack.stats().datagrams_in == static_cast<uint64_t>(packets));
+  state.SetItemsProcessed(packets);
+}
+
 // The frame check sequence, at the rx_* frame size (60 B), the mean
 // wire_mix frame (361 B) and a near-MTU frame (1326 B): the Crc32 every
 // encap and decap runs (folded where the host has PCLMULQDQ), the portable
@@ -238,6 +283,7 @@ BENCHMARK(BM_Crc32Sliced)->Arg(60)->Arg(361)->Arg(1326);
 BENCHMARK(BM_Crc32Bytewise)->Arg(60)->Arg(361)->Arg(1326);
 BENCHMARK(BM_InternetChecksum)->Arg(30)->Arg(327)->Arg(1288);
 BENCHMARK(BM_InternetChecksumBytewise)->Arg(30)->Arg(327)->Arg(1288);
+BENCHMARK(BM_StackRxBurst)->Arg(32);
 BENCHMARK(BM_StackInKernel)->Arg(64)->Arg(512)->Arg(1280);
 BENCHMARK(BM_StackInUserDomain)->Arg(64)->Arg(512)->Arg(1280);
 

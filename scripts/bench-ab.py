@@ -1,35 +1,44 @@
 #!/usr/bin/env python3
 """A/B of Google Benchmark rows between two build trees, run back to back.
 
-  scripts/bench-ab.py record <parent-build> <change-build> <out.json> [reps=5]
-      Runs the rows in ROWS from each tree's bench binaries, parent first,
+  scripts/bench-ab.py [--rows SET] record <parent-build> <change-build> <out.json> [reps=5]
+      Runs the rows of SET from each tree's bench binaries, parent first,
       then change, binary by binary, with <reps> repetitions each, and
       writes both sides' Google Benchmark JSON into <out.json> as
       {"parent": {...}, "change": {...}}.
 
-  scripts/bench-ab.py table <file.json>
-      Prints the markdown table README.md carries: each row's median real
-      time on both sides and the parent/change ratio.
+  scripts/bench-ab.py [--rows SET] table <file.json>
+      Prints the markdown table README.md carries: each row of SET, its
+      median real time on both sides and the parent/change ratio.
 
-The rows are the invocation path's copies: the cross-domain calls, the
-same-domain call they are measured against, and the software-MMU reads and
-writes that carry their frames.
+The row sets (SET defaults to copies):
+  copies  the invocation path's copies: the cross-domain calls, the
+          same-domain call they are measured against, and the software-MMU
+          reads and writes that carry their frames
+          (bench-baseline/BENCH_copies.json);
+  rx      the receive path: the stack's receive body on a 32-frame burst,
+          and the kernel-placed stack component end to end over the
+          simulated wire (bench-baseline/BENCH_rx_deliver.json).
 """
 import json
 import subprocess
 import sys
 
-ROWS = {
-    "bench_proxy": ["BM_SameDomainCall", "BM_CrossDomainScalar", "BM_CrossDomainPayload/64",
-                    "BM_CrossDomainPayload/512", "BM_CrossDomainPayload/4096"],
-    "bench_invocation": ["BM_CrossDomainNullCall"],
-    "bench_vmem": ["BM_ReadU64ThroughMmu", "BM_WriteBulkThroughMmu/64",
-                   "BM_WriteBulkThroughMmu/512", "BM_WriteBulkThroughMmu/4096"],
+# Per set: (bench binary, row) in the order the table prints them.
+ROW_SETS = {
+    "copies": [("bench_proxy", "BM_SameDomainCall"),
+               ("bench_invocation", "BM_CrossDomainNullCall"),
+               ("bench_proxy", "BM_CrossDomainScalar"),
+               ("bench_proxy", "BM_CrossDomainPayload/64"),
+               ("bench_proxy", "BM_CrossDomainPayload/512"),
+               ("bench_proxy", "BM_CrossDomainPayload/4096"),
+               ("bench_vmem", "BM_ReadU64ThroughMmu"),
+               ("bench_vmem", "BM_WriteBulkThroughMmu/64"),
+               ("bench_vmem", "BM_WriteBulkThroughMmu/512"),
+               ("bench_vmem", "BM_WriteBulkThroughMmu/4096")],
+    "rx": [("bench_protocol_placement", "BM_StackRxBurst/32"),
+           ("bench_protocol_placement", "BM_StackInKernel/64")],
 }
-ORDER = ["BM_SameDomainCall", "BM_CrossDomainNullCall", "BM_CrossDomainScalar",
-         "BM_CrossDomainPayload/64", "BM_CrossDomainPayload/512", "BM_CrossDomainPayload/4096",
-         "BM_ReadU64ThroughMmu", "BM_WriteBulkThroughMmu/64", "BM_WriteBulkThroughMmu/512",
-         "BM_WriteBulkThroughMmu/4096"]
 
 
 def run(build, binary, rows, reps):
@@ -41,11 +50,14 @@ def run(build, binary, rows, reps):
     return json.loads(out)
 
 
-def record(parent, change, path, reps):
+def record(rows, parent, change, path, reps):
+    by_binary = {}
+    for binary, row in rows:
+        by_binary.setdefault(binary, []).append(row)
     doc = {"parent": None, "change": None}
-    for binary, rows in ROWS.items():
+    for binary, names in by_binary.items():
         for side, build in (("parent", parent), ("change", change)):
-            result = run(build, binary, rows, reps)
+            result = run(build, binary, names, reps)
             if doc[side] is None:
                 doc[side] = result
             else:
@@ -64,21 +76,27 @@ def fmt(ns):
     return f"{ns:.1f}" if ns < 100 else f"{ns:.0f}"
 
 
-def table(path):
+def table(rows, path):
     doc = json.load(open(path))
     parent, change = medians(doc["parent"]), medians(doc["change"])
     print("| row | parent ns | change ns | parent / change |")
     print("|-----|-----------|-----------|-----------------|")
-    for row in ORDER:
+    for _, row in rows:
         p, c = parent[row], change[row]
         print(f"| `{row}` | {fmt(p)} | {fmt(c)} | {p / c:.2f}x |")
 
 
 def main(argv):
-    if len(argv) >= 5 and argv[1] == "record":
-        record(argv[2], argv[3], argv[4], int(argv[5]) if len(argv) > 5 else 5)
-    elif len(argv) == 3 and argv[1] == "table":
-        table(argv[2])
+    args = argv[1:]
+    row_set = "copies"
+    if args[:1] == ["--rows"] and len(args) > 1:
+        row_set, args = args[1], args[2:]
+    if row_set not in ROW_SETS:
+        sys.exit(__doc__)
+    if len(args) >= 4 and args[0] == "record":
+        record(ROW_SETS[row_set], args[1], args[2], args[3], int(args[4]) if len(args) > 4 else 5)
+    elif len(args) == 2 and args[0] == "table":
+        table(ROW_SETS[row_set], args[1])
     else:
         sys.exit(__doc__)
 

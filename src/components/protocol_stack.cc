@@ -92,7 +92,9 @@ void StackComponent::PumpRx() {
       return;
     }
     // Nothing writes rx_buffer_ again until the next PollRecv, after
-    // OnFrame returns, so the frame stays unchanged for the call.
+    // OnFrame returns, so the frame stays unchanged for the call — unless a
+    // handler blocks: another RX pop-up then polls into the same page, so a
+    // handler that may block copies the payload view first.
     stack_->OnFrame(rx_frame_.first(len));
   }
 }
@@ -115,8 +117,9 @@ uint64_t StackComponent::Send(uint64_t dst_ip, uint64_t ports, uint64_t payload_
 
 uint64_t StackComponent::BindPort(uint64_t port, uint64_t, uint64_t, uint64_t) {
   auto p = static_cast<net::Port>(port);
-  Status bound = stack_->BindPort(
-      p, [this, p](const net::Datagram& datagram) { inboxes_[p].push_back(datagram); });
+  Status bound = stack_->BindPort(p, [this, p](const net::Datagram& datagram) {
+    inboxes_[p].emplace_back(datagram.payload.begin(), datagram.payload.end());
+  });
   return bound.ok() ? 0 : ~uint64_t{0};
 }
 
@@ -130,16 +133,16 @@ uint64_t StackComponent::Recv(uint64_t port, uint64_t dest_vaddr, uint64_t capac
   // the next one is tried: 0 means "none queued", so returning it here would
   // strand the datagrams behind the dropped one.
   while (!it->second.empty()) {
-    net::Datagram datagram = std::move(it->second.front());
+    const std::vector<uint8_t> payload = std::move(it->second.front());
     it->second.pop_front();
-    if (datagram.payload.size() > capacity) {
+    if (payload.size() > capacity) {
       ++datagrams_oversize_;
       continue;
     }
-    if (!deps_.vmem->Write(home_, dest_vaddr, datagram.payload).ok()) {
+    if (!deps_.vmem->Write(home_, dest_vaddr, payload).ok()) {
       return 0;
     }
-    return datagram.payload.size();
+    return payload.size();
   }
   return 0;
 }

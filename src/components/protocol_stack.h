@@ -16,6 +16,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/components/interfaces.h"
 #include "src/net/stack.h"
@@ -42,6 +43,8 @@ class StackComponent : public obj::Object {
 
   ~StackComponent() override;
 
+  // A handler bound here reads its payload view in the component's RX page,
+  // which the next frame overwrites once the handler returns or blocks.
   net::ProtocolStack& stack() { return *stack_; }
   bool bound_via_proxy() const { return via_proxy_; }
   nucleus::Context* home() const { return home_; }
@@ -75,7 +78,8 @@ class StackComponent : public obj::Object {
   std::array<uint8_t, nucleus::kPageSize> tx_payload_{};  // Send's payload staging
   uint64_t event_registration_ = 0;
   uint64_t datagrams_oversize_ = 0;
-  std::map<net::Port, std::deque<net::Datagram>> inboxes_;
+  // Each bound port's queued payloads, copied out of the delivered frames.
+  std::map<net::Port, std::deque<std::vector<uint8_t>>> inboxes_;
 };
 
 }  // namespace para::components

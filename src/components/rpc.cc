@@ -90,7 +90,10 @@ void RpcComponent::HandleRequest(const net::Datagram& datagram, uint32_t xid, ui
     (void)SendMessage(datagram.src, datagram.src_port, xid, proc, kFlagReply | kFlagError, {});
     return;
   }
-  auto reply = it->second(payload);
+  // The payload is a view of the stack's RX page, and a procedure may block
+  // (a nested Call does), letting the next frame land there: it gets a copy.
+  const std::vector<uint8_t> request(payload.begin(), payload.end());
+  auto reply = it->second(request);
   if (!reply.ok()) {
     ++stats_.server_errors;
     (void)SendMessage(datagram.src, datagram.src_port, xid, proc, kFlagReply | kFlagError, {});

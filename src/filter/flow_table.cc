@@ -1,5 +1,7 @@
 #include "src/filter/flow_table.h"
 
+#include <sys/mman.h>
+
 #include <bit>
 #include <cstring>
 #include <new>
@@ -27,6 +29,16 @@ uint64_t Ports(const FlowKey& k) {
 
 }  // namespace
 
+void FlowTable::Unmap::operator()(void* p) const { munmap(p, bytes); }
+
+template <typename T>
+FlowTable::Mapped<T> FlowTable::Map(size_t count) {
+  const size_t bytes = count * sizeof(T);
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  PARA_CHECK(p != MAP_FAILED);
+  return Mapped<T>(static_cast<T*>(p), Unmap{bytes});
+}
+
 FlowTable::FlowTable(size_t capacity, const VirtualClock* clock, VTime ttl, uint64_t secret)
     : capacity_(capacity),
       clock_(clock),
@@ -39,13 +51,12 @@ FlowTable::FlowTable(size_t capacity, const VirtualClock* clock, VTime ttl, uint
   const size_t buckets = std::bit_ceil(2 * capacity);
   mask_ = buckets - 1;
   shift_ = 32 - static_cast<unsigned>(std::countr_zero(buckets));
-  // An all-zero bucket is empty, so calloc's zero pages are an empty index;
+  // An all-zero bucket is empty, so the fresh mapping is an empty index;
   // entries and links are written before they are read and cost memory
   // only once used.
-  index_.reset(static_cast<Bucket*>(std::calloc(buckets, sizeof(Bucket))));
-  links_.reset(static_cast<Link*>(std::malloc((capacity + 1) * sizeof(Link))));
-  entries_.reset(static_cast<FlowEntry*>(std::malloc(capacity * sizeof(FlowEntry))));
-  PARA_CHECK(index_ != nullptr && links_ != nullptr && entries_ != nullptr);
+  index_ = Map<Bucket>(buckets);
+  links_ = Map<Link>(capacity + 1);
+  entries_ = Map<FlowEntry>(capacity);
   const auto head = static_cast<uint32_t>(capacity_);
   links_[head] = Link{head, head, 0};
 }

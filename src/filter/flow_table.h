@@ -10,8 +10,10 @@
 // entries idle longer than the TTL expire lazily on the next touch (and
 // expired LRU victims are reclaimed before live ones under pressure).
 //
-// Storage is three fixed arrays sized by the constructor; nothing allocates
-// after it returns:
+// Storage is three fixed arrays sized by the constructor, each an anonymous
+// mmap of its own, so a page is zero until written and costs memory only
+// once touched, whatever the process's heap did before; nothing allocates
+// after the constructor returns:
 //  - entries, each holding one conversation ONCE, under the 5-tuple of the
 //    packet that established it (its forward direction). Entry storage is
 //    first written when an entry comes into use.
@@ -19,8 +21,8 @@
 //    naming its entry's index bucket. Erased ids wait on a free list.
 //  - an open-addressed index of power-of-two size, at most half full, whose
 //    buckets hold an entry id and a 32-bit hash tag. An all-zero bucket is
-//    empty (so a fresh index is calloc's zero pages), and deletion shifts
-//    the rest of the cluster back, so there are no tombstones.
+//    empty (so a fresh index is the mapping's zero pages), and deletion
+//    shifts the rest of the cluster back, so there are no tombstones.
 // The index hash is symmetric — a tuple and its reversal hash alike — so a
 // forward or a reply packet finds its conversation with one probe sequence,
 // and the stored forward key tells which way it matched. A miss remembers
@@ -34,8 +36,8 @@
 #ifndef PARAMECIUM_SRC_FILTER_FLOW_TABLE_H_
 #define PARAMECIUM_SRC_FILTER_FLOW_TABLE_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 
 #include "src/base/vclock.h"
@@ -161,9 +163,16 @@ class FlowTable {
     uint32_t next;
     uint32_t bucket;  // where the entry's index bucket is
   };
-  struct Free {
-    void operator()(void* p) const { std::free(p); }
+  // Unmaps an array Map made; the mapping's size rides in the deleter.
+  struct Unmap {
+    size_t bytes;
+    void operator()(void* p) const;
   };
+  template <typename T>
+  using Mapped = std::unique_ptr<T[], Unmap>;
+  // `count` Ts of fresh anonymous zero pages; a failed map fails PARA_CHECK.
+  template <typename T>
+  static Mapped<T> Map(size_t count);
 
   // Where a lookup ended: the bucket holding the match (id != kNone), or
   // the first empty bucket of the probe sequence.
@@ -207,9 +216,9 @@ class FlowTable {
   uint32_t used_ = 0;      // ids below this have been written at least once
   uint32_t free_ = kNone;  // erased ids, chained through links_[id].next
   Miss miss_;
-  std::unique_ptr<Bucket[], Free> index_;
-  std::unique_ptr<Link[], Free> links_;  // [capacity_] heads the LRU ring: next = MRU
-  std::unique_ptr<FlowEntry[], Free> entries_;
+  Mapped<Bucket> index_;
+  Mapped<Link> links_;  // [capacity_] heads the LRU ring: next = MRU
+  Mapped<FlowEntry> entries_;
   FlowTableStats stats_;
 };
 

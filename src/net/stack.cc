@@ -172,10 +172,7 @@ void ProtocolStack::Deliver(const PacketView& view) {
     return;
   }
   ++stats_.datagrams_in;
-  Datagram datagram;
-  datagram.src = view.src_ip;
-  datagram.src_port = view.src_port;
-  datagram.payload.assign(view.payload.begin(), view.payload.end());
+  const Datagram datagram(view.src_ip, view.src_port, view.payload);
   ++deliver_depth_;
   socket->second(datagram);
   if (--deliver_depth_ == 0) {

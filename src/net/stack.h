@@ -9,8 +9,10 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <span>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/base/status.h"
@@ -24,11 +26,18 @@ namespace para::net {
 // Driver-facing frame output: sends raw bytes on the wire.
 using FrameSender = std::function<Status(std::span<const uint8_t>)>;
 
-// Datagram delivery to a bound socket.
+// Datagram delivery to a bound socket. `payload` is a view of the received
+// frame, valid only for the handler call: a handler that keeps the bytes
+// copies them. Not copyable, so a Datagram cannot be stored by accident.
 struct Datagram {
-  IpAddr src = 0;
-  Port src_port = 0;
-  std::vector<uint8_t> payload;
+  Datagram(IpAddr src, Port src_port, std::span<const uint8_t> payload)
+      : src(src), src_port(src_port), payload(payload) {}
+  Datagram(const Datagram&) = delete;
+  Datagram& operator=(const Datagram&) = delete;
+
+  IpAddr src;
+  Port src_port;
+  std::span<const uint8_t> payload;
 };
 using DatagramHandler = std::function<void(const Datagram&)>;
 
@@ -109,14 +118,14 @@ class ProtocolStack {
 
   // Driver-facing input for a burst of frames (one RX-queue poll): the one
   // receive body. Frames are parsed where they lie — each surviving packet's
-  // PacketView aliases its frame, and nothing is copied or allocated before
-  // a passed packet's Datagram is built — so the caller's frames must not
-  // change during the call. Surviving packets are decided kIngressChunk at
-  // a time in one ingress-hook call, and every verdict of a chunk is decided
-  // before its first datagram is delivered (so a burst of up to kIngressChunk
-  // frames is decided whole, whichever setter installed the hook). Delivery
-  // follows frame order, and the counters end as if each frame had come
-  // through OnFrame alone.
+  // PacketView, and the Datagram its handler gets, aliases its frame, and
+  // nothing is copied or allocated on the way — so the caller's frames must
+  // not change during the call. Surviving packets are decided kIngressChunk
+  // at a time in one ingress-hook call, and every verdict of a chunk is
+  // decided before its first datagram is delivered (so a burst of up to
+  // kIngressChunk frames is decided whole, whichever setter installed the
+  // hook). Delivery follows frame order, and the counters end as if each
+  // frame had come through OnFrame alone.
   static constexpr size_t kIngressChunk = 64;  // = filter::kMaxFilterBatch
   void OnFrameBurst(std::span<const std::span<const uint8_t>> frames);
 
@@ -142,17 +151,23 @@ class ProtocolStack {
   // constructs *view from the header fields and a payload span aliasing
   // `frame` (`view` may point at unconstructed storage).
   bool DecapIngress(std::span<const uint8_t> frame, PacketView* view);
-  // Socket lookup + datagram materialization for a packet the filter passed.
+  // Hands a packet the filter passed to its socket's handler: one hash
+  // probe, and a Datagram on the C++ stack whose payload aliases the
+  // packet's, so delivery allocates nothing.
   void Deliver(const PacketView& view);
+
+  using SocketTable = std::unordered_map<Port, DatagramHandler>;
 
   StackConfig config_;
   FrameSender sender_;
   std::map<IpAddr, MacAddr> neighbors_;
-  std::map<Port, DatagramHandler> sockets_;
+  // A handler lives in its table node, which neither a rehash (a handler
+  // may bind ports) nor an unbind moves.
+  SocketTable sockets_;
   // Handlers running (loopback sends nest them) and the sockets unbound
   // meanwhile, whose handlers may be among those running.
   uint32_t deliver_depth_ = 0;
-  std::vector<std::map<Port, DatagramHandler>::node_type> unbound_;
+  std::vector<SocketTable::node_type> unbound_;
   FilterBatchHook ingress_filter_;
   FilterHook egress_filter_;
   StackStats stats_;

@@ -150,6 +150,35 @@ TEST_F(RpcTest, ConcurrentCallersAreDemultiplexed) {
   EXPECT_EQ(completed.size(), 4u);
 }
 
+TEST_F(RpcTest, BlockingProcedureKeepsItsRequestWhileTheNextOneArrives) {
+  // Procedure 10 sleeps before it echoes, which promotes its RX pop-up; the
+  // second caller's request lands in the server stack's RX page meanwhile.
+  // The sleeper must still echo its own request.
+  ASSERT_TRUE(server_->RegisterProcedure(10, [this](std::span<const uint8_t> req)
+                                                   -> Result<std::vector<uint8_t>> {
+    nucleus_->scheduler().Sleep(1'000'000);
+    return std::vector<uint8_t>(req.begin(), req.end());
+  }).ok());
+  const std::vector<uint8_t> slow = {'s', 'l', 'o', 'w'};
+  const std::vector<uint8_t> fast = {'F', 'A', 'S', 'T'};
+  std::vector<uint8_t> slow_reply;
+  std::vector<uint8_t> fast_reply;
+  nucleus_->scheduler().Spawn("slow", [&]() {
+    auto reply = client_->Call(10, slow);
+    ASSERT_TRUE(reply.ok());
+    slow_reply = *reply;
+  });
+  nucleus_->scheduler().Spawn("fast", [&]() {
+    auto reply = client_->Call(1, fast);
+    ASSERT_TRUE(reply.ok());
+    fast_reply = *reply;
+  });
+  nucleus_->Run();
+  EXPECT_EQ(fast_reply, fast);
+  EXPECT_EQ(slow_reply, slow);
+  EXPECT_EQ(server_->stats().server_requests, 2u);
+}
+
 TEST_F(RpcTest, InterfaceSlotCall) {
   // Drive the RPC through the uniform interface convention.
   auto iface = client_->GetInterface(RpcType()->name());

@@ -190,7 +190,7 @@ struct Receiver {
     EXPECT_TRUE(filter->Load(rules).ok());
     for (uint16_t p = kFirstBoundPort; p < kFirstBoundPort + kBoundPorts; ++p) {
       auto record = [this, p](const net::Datagram& d) {
-        delivered.push_back({p, d.src_port, d.payload});
+        delivered.push_back({p, d.src_port, {d.payload.begin(), d.payload.end()}});
       };
       EXPECT_TRUE(stack.BindPort(p, record).ok());
     }

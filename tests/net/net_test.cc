@@ -242,6 +242,18 @@ TEST(PacketBufferDeathTest, OversizedPrependPanicsUpFront) {
   EXPECT_DEATH(buf.Prepend(PacketBuffer::kDefaultHeadroom + 1), "check failed");
 }
 
+// What a handler saw, copied out of the Datagram, whose payload is a view
+// valid only for the handler call.
+struct Received {
+  IpAddr src = 0;
+  Port src_port = 0;
+  std::vector<uint8_t> payload;
+};
+
+Received Copy(const Datagram& d) {
+  return Received{d.src, d.src_port, {d.payload.begin(), d.payload.end()}};
+}
+
 // Two stacks wired back-to-back through in-memory "wires".
 class StackPairTest : public ::testing::Test {
  protected:
@@ -279,8 +291,8 @@ class StackPairTest : public ::testing::Test {
 };
 
 TEST_F(StackPairTest, DatagramDelivery) {
-  std::vector<Datagram> received;
-  ASSERT_TRUE(bob_.BindPort(80, [&](const Datagram& d) { received.push_back(d); }).ok());
+  std::vector<Received> received;
+  ASSERT_TRUE(bob_.BindPort(80, [&](const Datagram& d) { received.push_back(Copy(d)); }).ok());
   ASSERT_TRUE(alice_.SendDatagram(0x0A000002, 1234, 80, Bytes("hello bob")).ok());
   Pump();
   ASSERT_EQ(received.size(), 1u);
@@ -295,8 +307,8 @@ TEST_F(StackPairTest, RequestResponse) {
   ASSERT_TRUE(bob_.BindPort(7, [&](const Datagram& d) {
     (void)bob_.SendDatagram(d.src, 7, d.src_port, d.payload);  // echo
   }).ok());
-  std::vector<Datagram> replies;
-  ASSERT_TRUE(alice_.BindPort(555, [&](const Datagram& d) { replies.push_back(d); }).ok());
+  std::vector<Received> replies;
+  ASSERT_TRUE(alice_.BindPort(555, [&](const Datagram& d) { replies.push_back(Copy(d)); }).ok());
   ASSERT_TRUE(alice_.SendDatagram(0x0A000002, 555, 7, Bytes("ping")).ok());
   Pump();
   ASSERT_EQ(replies.size(), 1u);
@@ -318,6 +330,81 @@ TEST_F(StackPairTest, HandlerMayUnbindItsOwnPort) {
   EXPECT_EQ(delivered, 1);
   EXPECT_EQ(bob_.stats().datagrams_in, 1u);
   EXPECT_EQ(bob_.stats().drops_no_socket, 1u);
+}
+
+TEST_F(StackPairTest, PayloadIsAViewOfTheFrame) {
+  // The handler reads the payload where it lies in the frame OnFrame got:
+  // right behind the 38 B of Eth, IP and UDP headers, in place.
+  const uint8_t* seen = nullptr;
+  size_t seen_size = 0;
+  ASSERT_TRUE(bob_.BindPort(80, [&](const Datagram& d) {
+    seen = d.payload.data();
+    seen_size = d.payload.size();
+  }).ok());
+  ASSERT_TRUE(alice_.SendDatagram(0x0A000002, 1234, 80, Bytes("in place")).ok());
+  ASSERT_EQ(to_bob_.size(), 1u);
+  const std::vector<uint8_t> frame = std::move(to_bob_.front());
+  to_bob_.pop_front();
+  bob_.OnFrame(frame);
+  constexpr size_t kHeaders = EthHeader::kWireSize + IpHeader::kWireSize + UdpHeader::kWireSize;
+  EXPECT_EQ(seen, frame.data() + kHeaders);
+  EXPECT_EQ(seen_size, 8u);
+}
+
+TEST_F(StackPairTest, HandlerMayRehashTheSocketTableAndUnbindItsOwnPort) {
+  // Port 80's handler binds enough ports to grow the socket table several
+  // times over, then unbinds its own port and touches its captures after
+  // that: its closure must survive both. The new ports then receive.
+  constexpr Port kFirst = 2000;
+  constexpr size_t kPorts = 1024;
+  std::vector<int> hits(kPorts, 0);
+  const std::string tag = "one-shot";
+  std::string seen_tag;
+  ASSERT_TRUE(bob_.BindPort(80, [this, &hits, &seen_tag, tag](const Datagram&) {
+    for (size_t i = 0; i < kPorts; ++i) {
+      EXPECT_TRUE(bob_.BindPort(static_cast<Port>(kFirst + i),
+                                [&hits, i](const Datagram&) { ++hits[i]; }).ok());
+    }
+    EXPECT_TRUE(bob_.UnbindPort(80).ok());
+    seen_tag = tag;
+  }).ok());
+  ASSERT_TRUE(alice_.SendDatagram(0x0A000002, 1234, 80, Bytes("bind")).ok());
+  Pump();
+  EXPECT_EQ(seen_tag, "one-shot");
+  for (size_t i = 0; i < kPorts; i += 7) {
+    ASSERT_TRUE(alice_.SendDatagram(0x0A000002, 1234, static_cast<Port>(kFirst + i),
+                                    Bytes("x")).ok());
+  }
+  ASSERT_TRUE(alice_.SendDatagram(0x0A000002, 1234, 80, Bytes("late")).ok());
+  Pump();
+  for (size_t i = 0; i < kPorts; ++i) {
+    EXPECT_EQ(hits[i], i % 7 == 0 ? 1 : 0) << "port " << kFirst + i;
+  }
+  EXPECT_EQ(bob_.stats().drops_no_socket, 1u);
+}
+
+TEST(StackLoopbackTest, NestedDeliveryLeavesTheOuterPayloadIntact) {
+  // Port 80's handler sends to port 81 over a loopback sender, so port 81's
+  // delivery runs inside it; afterwards port 80's payload view still reads
+  // its own bytes.
+  ProtocolStack stack({0xAAAA, 0x0A000001}, [&stack](std::span<const uint8_t> f) {
+    stack.OnFrame(f);
+    return OkStatus();
+  });
+  stack.AddNeighbor(0x0A000001, 0xAAAA);
+  std::string outer_before;
+  std::string outer_after;
+  std::string inner;
+  ASSERT_TRUE(stack.BindPort(80, [&](const Datagram& d) {
+    outer_before = AsString(d.payload);
+    EXPECT_TRUE(stack.SendDatagram(0x0A000001, 80, 81, Bytes("the inner datagram")).ok());
+    outer_after = AsString(d.payload);
+  }).ok());
+  ASSERT_TRUE(stack.BindPort(81, [&](const Datagram& d) { inner = AsString(d.payload); }).ok());
+  ASSERT_TRUE(stack.SendDatagram(0x0A000001, 1234, 80, Bytes("outer")).ok());
+  EXPECT_EQ(inner, "the inner datagram");
+  EXPECT_EQ(outer_before, "outer");
+  EXPECT_EQ(outer_after, "outer");
 }
 
 TEST(StackLoopbackTest, NestedHandlerMayUnbindTheOuterOne) {
@@ -360,8 +447,8 @@ TEST_F(StackPairTest, UnboundPortDropped) {
 }
 
 TEST_F(StackPairTest, EmptyDatagramDelivered) {
-  std::vector<Datagram> received;
-  ASSERT_TRUE(bob_.BindPort(80, [&](const Datagram& d) { received.push_back(d); }).ok());
+  std::vector<Received> received;
+  ASSERT_TRUE(bob_.BindPort(80, [&](const Datagram& d) { received.push_back(Copy(d)); }).ok());
   ASSERT_TRUE(alice_.SendDatagram(0x0A000002, 1234, 80, {}).ok());
   Pump();
   ASSERT_EQ(received.size(), 1u);
@@ -369,8 +456,8 @@ TEST_F(StackPairTest, EmptyDatagramDelivered) {
 }
 
 TEST_F(StackPairTest, LargeDatagramGetsAFrameOfItsOwnSize) {
-  std::vector<Datagram> received;
-  ASSERT_TRUE(bob_.BindPort(80, [&](const Datagram& d) { received.push_back(d); }).ok());
+  std::vector<Received> received;
+  ASSERT_TRUE(bob_.BindPort(80, [&](const Datagram& d) { received.push_back(Copy(d)); }).ok());
   std::vector<uint8_t> payload(2000);
   for (size_t i = 0; i < payload.size(); ++i) {
     payload[i] = static_cast<uint8_t>(i * 7);
@@ -389,8 +476,8 @@ TEST_F(StackPairTest, LargeDatagramGetsAFrameOfItsOwnSize) {
 }
 
 TEST_F(StackPairTest, PayloadPastTheIpLengthFieldIsOutOfRange) {
-  std::vector<Datagram> received;
-  ASSERT_TRUE(bob_.BindPort(80, [&](const Datagram& d) { received.push_back(d); }).ok());
+  std::vector<Received> received;
+  ASSERT_TRUE(bob_.BindPort(80, [&](const Datagram& d) { received.push_back(Copy(d)); }).ok());
   // 65511 bytes + 24 of IP and UDP header is the largest IP total_length.
   const std::vector<uint8_t> largest(65511, 0xA5);
   ASSERT_TRUE(alice_.SendDatagram(0x0A000002, 1, 80, largest).ok());
