@@ -18,7 +18,11 @@ The row sets (SET defaults to copies):
           (bench-baseline/BENCH_copies.json);
   rx      the receive path: the stack's receive body on a 32-frame burst,
           and the kernel-placed stack component end to end over the
-          simulated wire (bench-baseline/BENCH_rx_deliver.json).
+          simulated wire (bench-baseline/BENCH_rx_deliver.json);
+  wire    the paper's placement experiment E9: a datagram over the
+          simulated wire from a stack component in the kernel and from one
+          in a user domain, at three payload sizes
+          (bench-baseline/BENCH_wire_rings.json).
 """
 import json
 import subprocess
@@ -38,6 +42,8 @@ ROW_SETS = {
                ("bench_vmem", "BM_WriteBulkThroughMmu/4096")],
     "rx": [("bench_protocol_placement", "BM_StackRxBurst/32"),
            ("bench_protocol_placement", "BM_StackInKernel/64")],
+    "wire": [("bench_protocol_placement", f"BM_StackIn{placement}/{size}")
+             for placement in ("Kernel", "UserDomain") for size in (64, 512, 1280)],
 }
 
 

@@ -33,14 +33,16 @@ FUNCTIONS=(
   'para::nucleus::VirtualMemoryService::WriteIo('
   'para::nucleus::VirtualMemoryService::ReadIo32('
   'para::nucleus::VirtualMemoryService::WriteIo32('
+  'para::nucleus::VirtualMemoryService::ReadIoToMemory('
+  'para::nucleus::VirtualMemoryService::WriteIoFromMemory('
   'para::nucleus::ProxyObject::Trampoline('
   'std::_Function_handler<para::Status (para::nucleus::FaultInfo const&), para::nucleus::ProxyObject::Setup()::{lambda(para::nucleus::FaultInfo const&)#1}>::_M_invoke('
   'para::hw::NetworkDevice::WriteReg('
   'para::hw::NetworkDevice::DeliverFrame('
+  'para::hw::NetworkDevice::FillRxArea('
   'para::hw::NetworkDevice::PumpRx('
   'para::hw::NetworkLink::Transmit('
   'para::hw::NetworkLink::DeliverDue('
-  'para::components::NetDriver::OnRxInterrupt('
   'para::components::NetDriver::Send('
   'para::components::NetDriver::PollRecv('
   'para::components::StackComponent::Send('

@@ -10,9 +10,9 @@ namespace para::components {
 using nucleus::kProtReadWrite;
 using nucleus::VAddr;
 
-NetDriver::NetDriver(nucleus::VirtualMemoryService* vmem, nucleus::EventService* events,
-                     hw::NetworkDevice* device, nucleus::Context* home)
-    : vmem_(vmem), events_(events), device_(device), home_(home) {
+NetDriver::NetDriver(nucleus::VirtualMemoryService* vmem, hw::NetworkDevice* device,
+                     nucleus::Context* home)
+    : vmem_(vmem), device_(device), home_(home) {
   for (const NetDriverStatsSlot& slot : kNetDriverStatsSlots) {
     if (slot.read == nullptr) {
       continue;
@@ -24,9 +24,6 @@ NetDriver::NetDriver(nucleus::VirtualMemoryService* vmem, nucleus::EventService*
 }
 
 NetDriver::~NetDriver() {
-  if (event_registration_ != 0) {
-    (void)events_->Unregister(event_registration_);
-  }
   if (regs_ != 0) {
     (void)vmem_->UnmapIo(home_, regs_);
   }
@@ -39,7 +36,7 @@ Result<std::unique_ptr<NetDriver>> NetDriver::Create(nucleus::VirtualMemoryServi
   if (vmem == nullptr || events == nullptr || device == nullptr || home == nullptr) {
     return Status(ErrorCode::kInvalidArgument, "driver needs vmem, events, device, home");
   }
-  auto driver = std::unique_ptr<NetDriver>(new NetDriver(vmem, events, device, home));
+  auto driver = std::unique_ptr<NetDriver>(new NetDriver(vmem, device, home));
   PARA_RETURN_IF_ERROR(driver->Setup());
   return driver;
 }
@@ -48,13 +45,6 @@ Status NetDriver::Setup() {
   // Exclusive register window, shared buffer window (§3 I/O space model).
   PARA_ASSIGN_OR_RETURN(regs_, vmem_->MapDeviceRegisters(home_, device_));
   PARA_ASSIGN_OR_RETURN(buffer_, vmem_->MapDeviceBuffer(home_, device_, kProtReadWrite));
-
-  // RX interrupts become pop-up threads running OnRxInterrupt.
-  PARA_ASSIGN_OR_RETURN(
-      event_registration_,
-      events_->Register(nucleus::IrqEvent(device_->irq_line()), home_,
-                        [this](nucleus::EventNumber, uint64_t) { OnRxInterrupt(); },
-                        threads::DispatchMode::kProtoThread, "netdrv-rx"));
 
   // Enable the device with RX interrupts.
   PARA_RETURN_IF_ERROR(vmem_->WriteIo32(home_, regs_ + hw::NetworkDevice::kRegCtrl,
@@ -77,37 +67,8 @@ Status NetDriver::Setup() {
   return OkStatus();
 }
 
-void NetDriver::OnRxInterrupt() {
-  // Drain every frame the device has staged: read RX_LEN, copy the frame out
-  // of the buffer window, ack.
-  for (;;) {
-    auto status_reg = vmem_->ReadIo32(home_, regs_ + hw::NetworkDevice::kRegStatus);
-    if (!status_reg.ok() || (*status_reg & hw::NetworkDevice::kStatusRxAvailable) == 0) {
-      return;
-    }
-    auto len_reg = vmem_->ReadIo32(home_, regs_ + hw::NetworkDevice::kRegRxLen);
-    if (!len_reg.ok() || *len_reg > hw::NetworkDevice::kMaxFrame) {
-      return;
-    }
-    const size_t len = *len_reg;
-    if (len == 0) {
-      // PollRecv's 0 means "queue empty", so a queued empty frame would stop
-      // a consumer short of the frames behind it.
-      ++frames_empty_;
-    } else {
-      // Uninitialized storage: the copy out of the buffer window fills it.
-      RxFrame frame{std::make_unique_for_overwrite<uint8_t[]>(len), len};
-      Status read =
-          vmem_->ReadIo(home_, buffer_ + hw::NetworkDevice::kRxAreaOffset, frame.bytes());
-      if (!read.ok()) {
-        return;
-      }
-      rx_frames_.push_back(std::move(frame));
-    }
-    // Ack: write RX_LEN, which pumps the next queued frame (possibly raising
-    // the next interrupt).
-    (void)vmem_->WriteIo32(home_, regs_ + hw::NetworkDevice::kRegRxLen, 1);
-  }
+void NetDriver::AckRx() {
+  (void)vmem_->WriteIo32(home_, regs_ + hw::NetworkDevice::kRegRxLen, 1);
 }
 
 uint64_t NetDriver::Send(uint64_t payload_vaddr, uint64_t len, uint64_t, uint64_t) {
@@ -115,13 +76,11 @@ uint64_t NetDriver::Send(uint64_t payload_vaddr, uint64_t len, uint64_t, uint64_
   if (len > hw::NetworkDevice::kMaxFrame) {
     return ~uint64_t{0};
   }
-  // Pull the payload from the caller-domain address (the proxy has already
-  // re-homed it for cross-domain calls), then stage it in the TX area.
-  std::span<uint8_t> payload(tx_frame_.data(), len);
-  if (!vmem_->Read(home_, payload_vaddr, payload).ok()) {
-    return ~uint64_t{0};
-  }
-  if (!vmem_->WriteIo(home_, buffer_ + hw::NetworkDevice::kTxAreaOffset, payload).ok()) {
+  // The caller-domain bytes (the proxy has already re-homed them for
+  // cross-domain calls) go straight into the TX area.
+  if (!vmem_->WriteIoFromMemory(home_, buffer_ + hw::NetworkDevice::kTxAreaOffset, payload_vaddr,
+                                len)
+           .ok()) {
     return ~uint64_t{0};
   }
   Status kicked = vmem_->WriteIo32(home_, regs_ + hw::NetworkDevice::kRegTxLen,
@@ -131,20 +90,34 @@ uint64_t NetDriver::Send(uint64_t payload_vaddr, uint64_t len, uint64_t, uint64_
 
 uint64_t NetDriver::PollRecv(uint64_t dest_vaddr, uint64_t capacity, uint64_t, uint64_t) {
   ++invocations_;
-  // A frame longer than the caller's buffer is dropped and counted (like
-  // real NICs), and the next frame is tried: 0 means "queue empty", so
-  // returning it here would strand the frames behind the dropped one.
-  while (!rx_frames_.empty()) {
-    RxFrame frame = std::move(rx_frames_.front());
-    rx_frames_.pop_front();
-    if (frame.size > capacity) {
-      ++frames_oversize_;
+  // 0 means "no frame", so a frame this call cannot return is acked and
+  // counted, and the next one is tried: returning 0 for it would strand the
+  // frames behind it. An empty frame is skipped that way; so is one longer
+  // than the caller's buffer, as real NICs drop it.
+  for (;;) {
+    auto status_reg = vmem_->ReadIo32(home_, regs_ + hw::NetworkDevice::kRegStatus);
+    if (!status_reg.ok() || (*status_reg & hw::NetworkDevice::kStatusRxAvailable) == 0) {
+      return 0;
+    }
+    auto len_reg = vmem_->ReadIo32(home_, regs_ + hw::NetworkDevice::kRegRxLen);
+    if (!len_reg.ok()) {
+      return 0;
+    }
+    const uint64_t len = *len_reg;
+    if (len == 0 || len > capacity) {
+      ++(len == 0 ? frames_empty_ : frames_oversize_);
+      AckRx();
       continue;
     }
-    Status wrote = vmem_->Write(home_, dest_vaddr, frame.bytes());
-    return wrote.ok() ? frame.size : 0;
+    // A failed copy leaves the frame in the device, unacked, for the next
+    // poll.
+    if (!vmem_->ReadIoToMemory(home_, buffer_ + hw::NetworkDevice::kRxAreaOffset, dest_vaddr, len)
+             .ok()) {
+      return 0;
+    }
+    AckRx();
+    return len;
   }
-  return 0;
 }
 
 uint64_t NetDriver::GetMac(uint64_t, uint64_t, uint64_t, uint64_t) {

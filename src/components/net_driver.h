@@ -4,19 +4,19 @@
 // It claims the device's register block as exclusive I/O space and the
 // on-device buffer as a (shareable) window, per the paper's I/O-space model.
 //
-// Frames move as spans: registers are 32-bit accesses, but a frame crosses
-// the buffer window in one ReadIo/WriteIo copy (one page lookup, every
-// check of the word accessors). Send reads the caller's payload into a
-// fixed TX staging buffer and writes it to the device from there; RX copies
-// each frame out of the buffer window once, straight into the storage it is
-// queued in.
+// Frames wait in the device until polled: the driver keeps no queue of its
+// own and registers no interrupt handler. Its consumer hooks the RX
+// interrupt (IrqEvent) and calls PollRecv, which reads STATUS and RX_LEN,
+// copies the frame out of the RX area straight into the caller's buffer and
+// acks it. The device's ring of kRxQueueDepth frames is the only receive
+// queue, so a peer flooding an idle consumer fills that ring and no more.
+// Send copies the caller's bytes straight into the TX area. Each is one
+// copy, with every check of the memory and I/O-space accessors
+// (VirtualMemoryService::ReadIoToMemory / WriteIoFromMemory).
 #ifndef PARAMECIUM_SRC_COMPONENTS_NET_DRIVER_H_
 #define PARAMECIUM_SRC_COMPONENTS_NET_DRIVER_H_
 
-#include <array>
-#include <deque>
 #include <memory>
-#include <span>
 #include <string_view>
 
 #include "src/base/telemetry.h"
@@ -30,8 +30,9 @@ namespace para::components {
 
 class NetDriver : public obj::Object {
  public:
-  // Maps the device into `home` and hooks the RX interrupt. The driver
-  // exports NetDriverType() plus MeasurementType().
+  // Maps the device into `home` and enables it with RX interrupts. The
+  // driver exports NetDriverType() plus MeasurementType(). `events` is
+  // checked but not kept: the RX interrupt's handler is the consumer's.
   static Result<std::unique_ptr<NetDriver>> Create(nucleus::VirtualMemoryService* vmem,
                                                    nucleus::EventService* events,
                                                    hw::NetworkDevice* device,
@@ -41,10 +42,11 @@ class NetDriver : public obj::Object {
 
   nucleus::Context* home() const { return home_; }
   const hw::NetworkDevice& device() const { return *device_; }
-  uint64_t rx_frames_buffered() const { return rx_frames_.size(); }
-  // Zero-length frames the device delivered; RX acks and discards them.
+  // Frames the device holds, waiting for PollRecv.
+  uint64_t rx_frames_buffered() const { return device_->rx_frames_held(); }
+  // Zero-length frames PollRecv found; it acks and discards them.
   uint64_t frames_empty() const { return frames_empty_; }
-  // Queued frames longer than a PollRecv caller's buffer; dropped.
+  // Frames longer than a PollRecv caller's buffer; acked and dropped.
   uint64_t frames_oversize() const { return frames_oversize_; }
 
   // Method implementations (uniform convention; see interfaces.h).
@@ -58,27 +60,18 @@ class NetDriver : public obj::Object {
   uint64_t ResetMeasurement(uint64_t, uint64_t, uint64_t, uint64_t);
 
  private:
-  NetDriver(nucleus::VirtualMemoryService* vmem, nucleus::EventService* events,
-            hw::NetworkDevice* device, nucleus::Context* home);
+  NetDriver(nucleus::VirtualMemoryService* vmem, hw::NetworkDevice* device,
+            nucleus::Context* home);
 
   Status Setup();
-  void OnRxInterrupt();
+  // Acks the frame in the RX area; the device moves the next one in.
+  void AckRx();
 
   nucleus::VirtualMemoryService* vmem_;
-  nucleus::EventService* events_;
   hw::NetworkDevice* device_;
   nucleus::Context* home_;
   nucleus::VAddr regs_ = 0;
   nucleus::VAddr buffer_ = 0;
-  uint64_t event_registration_ = 0;
-  // A received frame: `size` bytes, never zero-filled before the copy in.
-  struct RxFrame {
-    std::unique_ptr<uint8_t[]> storage;
-    size_t size;
-    std::span<uint8_t> bytes() const { return {storage.get(), size}; }
-  };
-  std::deque<RxFrame> rx_frames_;  // driver-side RX queue
-  std::array<uint8_t, hw::NetworkDevice::kMaxFrame> tx_frame_{};  // Send's payload staging
   uint64_t frames_empty_ = 0;
   uint64_t frames_oversize_ = 0;
   uint64_t invocations_ = 0;

@@ -43,20 +43,23 @@ Status StackComponent::Setup(const std::string& driver_path, net::StackConfig co
   via_proxy_ = binding.via_proxy;
   PARA_ASSIGN_OR_RETURN(driver_, binding.object->GetInterface(iface));
 
-  // Frame staging buffers in the home domain.
+  // The TX and RX pages in the home domain. The component owns them for
+  // its lifetime, so it translates each once (as proxies translate their
+  // windows): the stack builds frames in the TX page and parses them where
+  // they lie in the RX page.
   PARA_ASSIGN_OR_RETURN(tx_buffer_,
                         deps_.vmem->AllocatePages(home_, 1, nucleus::kProtReadWrite));
   PARA_ASSIGN_OR_RETURN(rx_buffer_,
                         deps_.vmem->AllocatePages(home_, 1, nucleus::kProtReadWrite));
-  // The component owns the RX page for its lifetime, so it translates it
-  // once (as proxies translate their windows) and hands received frames to
-  // the stack where they lie.
+  PARA_ASSIGN_OR_RETURN(tx_page_, deps_.vmem->TranslateSpan(home_, tx_buffer_,
+                                                            nucleus::kPageSize,
+                                                            /*write=*/true));
   PARA_ASSIGN_OR_RETURN(rx_frame_, deps_.vmem->TranslateSpan(home_, rx_buffer_,
                                                              nucleus::kPageSize,
                                                              /*write=*/false));
 
   stack_ = std::make_unique<net::ProtocolStack>(
-      config, [this](std::span<const uint8_t> frame) { return SendFrame(frame); });
+      config, [this](std::span<const uint8_t> frame) { return SendFrame(frame); }, tx_page_);
 
   // RX interrupts -> pop-up thread -> PumpRx. The event number comes from
   // the driver itself (works across domains: it is a plain return value).
@@ -77,10 +80,12 @@ Status StackComponent::Setup(const std::string& driver_path, net::StackConfig co
 }
 
 Status StackComponent::SendFrame(std::span<const uint8_t> frame) {
-  if (frame.size() > nucleus::kPageSize) {
-    return Status(ErrorCode::kOutOfRange, "frame exceeds staging buffer");
+  // The stack builds each frame at the start of the TX page, except one too
+  // large for it and one nested in a send whose frame holds the page (a
+  // driver that calls back into this component).
+  if (frame.data() != tx_page_.data()) {
+    return Status(ErrorCode::kOutOfRange, "frame not built in the TX page");
   }
-  PARA_RETURN_IF_ERROR(deps_.vmem->Write(home_, tx_buffer_, frame));
   uint64_t rc = driver_->Invoke(kDriverSend, tx_buffer_, frame.size());
   return rc == 0 ? OkStatus() : Status(ErrorCode::kUnavailable, "driver send failed");
 }
@@ -101,11 +106,14 @@ void StackComponent::PumpRx() {
 
 uint64_t StackComponent::Send(uint64_t dst_ip, uint64_t ports, uint64_t payload_vaddr,
                               uint64_t len) {
-  if (len > tx_payload_.size()) {
-    return ~uint64_t{0};
-  }
-  std::span<uint8_t> payload(tx_payload_.data(), len);
-  if (!deps_.vmem->Read(home_, payload_vaddr, payload).ok()) {
+  // The payload is read straight to its place in the frame. It fails when
+  // the frame would not fit the TX page or a send holds the page, and when
+  // the source lies in the TX page itself, where the read would overlap.
+  std::span<uint8_t> payload = stack_->TxPayload(len);
+  if (payload.size() != len ||
+      (len != 0 && payload_vaddr < tx_buffer_ + nucleus::kPageSize &&
+       tx_buffer_ < payload_vaddr + len) ||
+      !deps_.vmem->Read(home_, payload_vaddr, payload).ok()) {
     return ~uint64_t{0};
   }
   auto src_port = static_cast<net::Port>(ports >> 16);
@@ -115,11 +123,20 @@ uint64_t StackComponent::Send(uint64_t dst_ip, uint64_t ports, uint64_t payload_
   return sent.ok() ? 0 : ~uint64_t{0};
 }
 
+void StackComponent::Enqueue(Inbox& inbox, std::span<const uint8_t> payload) {
+  if (inbox.count == kInboxDepth) {
+    ++datagrams_overflow_;
+    return;
+  }
+  inbox.slots[(inbox.head + inbox.count) % kInboxDepth].assign(payload.begin(), payload.end());
+  ++inbox.count;
+}
+
 uint64_t StackComponent::BindPort(uint64_t port, uint64_t, uint64_t, uint64_t) {
   auto p = static_cast<net::Port>(port);
-  Status bound = stack_->BindPort(p, [this, p](const net::Datagram& datagram) {
-    inboxes_[p].emplace_back(datagram.payload.begin(), datagram.payload.end());
-  });
+  Inbox* inbox = &inboxes_[p];
+  Status bound = stack_->BindPort(
+      p, [this, inbox](const net::Datagram& datagram) { Enqueue(*inbox, datagram.payload); });
   return bound.ok() ? 0 : ~uint64_t{0};
 }
 
@@ -131,18 +148,21 @@ uint64_t StackComponent::Recv(uint64_t port, uint64_t dest_vaddr, uint64_t capac
   }
   // A datagram longer than the caller's buffer is dropped and counted, and
   // the next one is tried: 0 means "none queued", so returning it here would
-  // strand the datagrams behind the dropped one.
-  while (!it->second.empty()) {
-    const std::vector<uint8_t> payload = std::move(it->second.front());
-    it->second.pop_front();
-    if (payload.size() > capacity) {
-      ++datagrams_oversize_;
-      continue;
-    }
-    if (!deps_.vmem->Write(home_, dest_vaddr, payload).ok()) {
+  // strand the datagrams behind the dropped one. One the copy out fails for
+  // stays queued.
+  Inbox& inbox = it->second;
+  while (inbox.count != 0) {
+    const std::vector<uint8_t>& payload = inbox.slots[inbox.head];
+    const bool oversize = payload.size() > capacity;
+    if (!oversize && !deps_.vmem->Write(home_, dest_vaddr, payload).ok()) {
       return 0;
     }
-    return payload.size();
+    inbox.head = (inbox.head + 1) % kInboxDepth;
+    --inbox.count;
+    if (!oversize) {
+      return payload.size();
+    }
+    ++datagrams_oversize_;
   }
   return 0;
 }

@@ -8,11 +8,16 @@
 // proxy. The component itself is identical in both placements — exactly the
 // paper's claim that components "can be configured dynamically to reside
 // either in the kernel or in the application's address space".
+//
+// Frames move through two pages in the home domain, each translated once at
+// Setup. Send reads the application's payload straight to its place in the
+// TX page, the stack writes the headers and FCS around it, and the driver
+// (or the proxy in front of it) reads the frame from there. PumpRx polls
+// each frame into the RX page and hands it to the stack where it lies.
 #ifndef PARAMECIUM_SRC_COMPONENTS_PROTOCOL_STACK_H_
 #define PARAMECIUM_SRC_COMPONENTS_PROTOCOL_STACK_H_
 
 #include <array>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -48,8 +53,13 @@ class StackComponent : public obj::Object {
   net::ProtocolStack& stack() { return *stack_; }
   bool bound_via_proxy() const { return via_proxy_; }
   nucleus::Context* home() const { return home_; }
+  // Each bound port queues at most this many datagrams for Recv.
+  static constexpr size_t kInboxDepth = 64;
+
   // Datagrams Recv dropped because they were longer than the caller's buffer.
   uint64_t datagrams_oversize() const { return datagrams_oversize_; }
+  // Datagrams dropped at the tail because their port's inbox was full.
+  uint64_t datagrams_overflow() const { return datagrams_overflow_; }
 
   // Pulls every frame the driver has buffered into the stack (also invoked
   // from the RX interrupt pop-up thread).
@@ -64,22 +74,32 @@ class StackComponent : public obj::Object {
  private:
   StackComponent(Deps deps, nucleus::Context* home) : deps_(deps), home_(home) {}
 
+  // A bound port's queued payloads, copied out of the delivered frames: a
+  // ring of kInboxDepth slots, each reusing the storage it grew to.
+  struct Inbox {
+    std::array<std::vector<uint8_t>, kInboxDepth> slots;
+    size_t head = 0;
+    size_t count = 0;
+  };
+
   Status Setup(const std::string& driver_path, net::StackConfig config);
   Status SendFrame(std::span<const uint8_t> frame);
+  void Enqueue(Inbox& inbox, std::span<const uint8_t> payload);
 
   Deps deps_;
   nucleus::Context* home_;
   const obj::Interface* driver_ = nullptr;
   bool via_proxy_ = false;
   std::unique_ptr<net::ProtocolStack> stack_;
-  nucleus::VAddr tx_buffer_ = 0;  // frame staging in the home domain
+  nucleus::VAddr tx_buffer_ = 0;  // the stack's TX storage, in the home domain
   nucleus::VAddr rx_buffer_ = 0;
+  std::span<uint8_t> tx_page_;         // tx_buffer_, translated once at Setup
   std::span<const uint8_t> rx_frame_;  // rx_buffer_, translated once at Setup
-  std::array<uint8_t, nucleus::kPageSize> tx_payload_{};  // Send's payload staging
   uint64_t event_registration_ = 0;
   uint64_t datagrams_oversize_ = 0;
-  // Each bound port's queued payloads, copied out of the delivered frames.
-  std::map<net::Port, std::deque<std::vector<uint8_t>>> inboxes_;
+  uint64_t datagrams_overflow_ = 0;
+  // Map nodes stay put, so each port's handler holds its inbox.
+  std::map<net::Port, Inbox> inboxes_;
 };
 
 }  // namespace para::components

@@ -5,6 +5,14 @@
 //   * an on-device buffer with TX and RX staging areas — the paper's
 //     "on-device buffers shared by other contexts".
 //
+// Received frames wait in the device until its driver polls them, in fixed
+// storage: the RX area holds the frame the registers describe, and a ring of
+// kRxQueueDepth slots of kMaxFrame bytes, allocated once, holds the frames
+// behind it (netmap's preallocated rings). A frame arriving at a full ring is
+// dropped at the tail and counted in DROPPED. The link copies each
+// transmitted frame into an in-flight slot it reuses, so no frame allocates
+// on its way from one device's TX area to the other's RX area.
+//
 // Register map (byte offsets):
 //   0x00 CTRL     bit0 enable, bit1 rx interrupt enable
 //   0x04 TX_LEN   write N: transmit first N bytes of the TX area
@@ -15,8 +23,11 @@
 #ifndef PARAMECIUM_SRC_HW_NETDEV_H_
 #define PARAMECIUM_SRC_HW_NETDEV_H_
 
+#include <array>
 #include <cstdint>
-#include <deque>
+#include <memory>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "src/base/random.h"
@@ -26,8 +37,6 @@
 namespace para::hw {
 
 class NetworkLink;
-
-using Frame = std::vector<uint8_t>;
 
 class NetworkDevice : public Device {
  public:
@@ -61,20 +70,35 @@ class NetworkDevice : public Device {
   uint64_t frames_received() const { return frames_received_; }
   uint64_t frames_dropped() const { return frames_dropped_; }
 
-  // Link side: delivers a frame into the RX path.
-  void DeliverFrame(Frame frame);
+  // Frames the device holds for its driver: the one in the RX area plus
+  // those waiting in the ring (at most 1 + kRxQueueDepth).
+  size_t rx_frames_held() const { return (rx_area_full_ ? 1 : 0) + rx_ring_count_; }
+
+  // Link side: delivers a frame into the RX path. It is copied straight into
+  // the RX area when that is free (the DMA), else into the ring's next free
+  // slot; a full ring drops it. Bytes past kMaxFrame are cut off. The copy
+  // is made before the RX interrupt is raised, so `frame` is not read once
+  // a handler runs.
+  void DeliverFrame(std::span<const uint8_t> frame);
 
  private:
   friend class NetworkLink;
 
   void AttachLink(NetworkLink* link, int endpoint);
-  void PumpRx();  // moves the next queued frame into the RX area, raises IRQ
+  // Copies `frame` into the RX area, publishes RX_LEN and STATUS and raises
+  // the RX interrupt.
+  void FillRxArea(std::span<const uint8_t> frame);
+  void PumpRx();  // after an ack: moves the ring's oldest frame into the RX area
 
   NetworkLink* link_ = nullptr;
   int endpoint_ = -1;
   uint64_t mac_;
-  std::deque<Frame> rx_queue_;
-  bool rx_area_full_ = false;
+  bool rx_area_full_ = false;  // while false, the ring is empty
+  // The RX ring: kRxQueueDepth slots of kMaxFrame bytes, never zero-filled.
+  std::unique_ptr<uint8_t[]> rx_ring_;
+  std::array<uint32_t, kRxQueueDepth> rx_ring_len_{};
+  size_t rx_ring_head_ = 0;
+  size_t rx_ring_count_ = 0;
   uint64_t frames_sent_ = 0;
   uint64_t frames_received_ = 0;
   uint64_t frames_dropped_ = 0;
@@ -94,8 +118,10 @@ class NetworkLink {
   // Wires the two endpoints. Must be called exactly once per endpoint.
   void Attach(NetworkDevice* a, NetworkDevice* b);
 
-  // Called by the TX path of an endpoint device.
-  void Transmit(int from_endpoint, Frame frame, VTime now);
+  // Called by the TX path of an endpoint device with a span of its TX area
+  // (at most kMaxFrame bytes): the frame is copied into an in-flight slot,
+  // and that copy is the wire.
+  void Transmit(int from_endpoint, std::span<const uint8_t> frame, VTime now);
 
   // Delivers every frame whose arrival time has passed. Returns true when
   // anything was delivered.
@@ -105,19 +131,25 @@ class NetworkLink {
   std::optional<VTime> NextArrival() const;
 
   uint64_t frames_lost() const { return frames_lost_; }
-  size_t in_flight() const { return in_flight_.size(); }
+  size_t in_flight() const { return in_flight_count_; }
 
  private:
+  // A frame on the wire, in a kMaxFrame slot the link reuses.
   struct InFlight {
-    VTime arrival;
-    int dest_endpoint;
-    Frame frame;
+    VTime arrival = 0;
+    int dest_endpoint = 0;
+    size_t len = 0;
+    std::unique_ptr<uint8_t[]> bytes;
   };
 
   Config config_;
   para::Random rng_;
   NetworkDevice* endpoints_[2] = {nullptr, nullptr};
-  std::deque<InFlight> in_flight_;  // sorted by arrival (latency is constant)
+  // A ring sorted by arrival (latency is constant). It grows to the most
+  // frames ever in flight at once and keeps its slots.
+  std::vector<InFlight> in_flight_;
+  size_t in_flight_head_ = 0;
+  size_t in_flight_count_ = 0;
   uint64_t frames_lost_ = 0;
 };
 

@@ -3,17 +3,37 @@
 #include <array>
 #include <cstddef>
 #include <cstdio>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <new>
 #include <string>
+#include <utility>
 
+#include "src/base/copy.h"
 #include "src/base/log.h"
 
 namespace para::net {
 
-ProtocolStack::ProtocolStack(StackConfig config, FrameSender sender)
-    : config_(config), sender_(std::move(sender)) {
+namespace {
+
+// Whether two byte ranges share a byte (std::less orders any two pointers).
+bool Overlaps(std::span<const uint8_t> a, std::span<const uint8_t> b) {
+  const std::less<const uint8_t*> before;
+  return !a.empty() && !b.empty() && before(a.data(), b.data() + b.size()) &&
+         before(b.data(), a.data() + a.size());
+}
+
+}  // namespace
+
+ProtocolStack::ProtocolStack(StackConfig config, FrameSender sender,
+                             std::span<uint8_t> tx_storage)
+    : config_(config), sender_(std::move(sender)), tx_storage_(tx_storage) {
   PARA_CHECK(sender_ != nullptr);
+  if (tx_storage_.empty()) {
+    tx_owned_ = std::make_unique_for_overwrite<uint8_t[]>(PacketBuffer::kDefaultCapacity);
+    tx_storage_ = {tx_owned_.get(), PacketBuffer::kDefaultCapacity};
+  }
   if constexpr (telemetry::kEnabled) {
     char host[24];
     std::snprintf(host, sizeof(host), "%u.%u.%u.%u", (config_.ip >> 24) & 0xFF,
@@ -84,8 +104,23 @@ bool ProtocolStack::ApplyDecision(const FilterDecision& decision, uint8_t* ttl_o
   return false;
 }
 
+std::span<uint8_t> ProtocolStack::TxPayload(size_t len) {
+  if (tx_busy_ || kHeaderBytes + len + EthHeader::kFcsSize > tx_storage_.size()) {
+    return {};
+  }
+  return tx_storage_.subspan(kHeaderBytes, len);
+}
+
 Status ProtocolStack::SendDatagram(IpAddr dst, Port src_port, Port dst_port,
                                    std::span<const uint8_t> payload) {
+  const bool nested = std::exchange(tx_busy_, true);
+  Status sent = Encapsulate(dst, src_port, dst_port, payload, nested);
+  tx_busy_ = nested;
+  return sent;
+}
+
+Status ProtocolStack::Encapsulate(IpAddr dst, Port src_port, Port dst_port,
+                                  std::span<const uint8_t> payload, bool nested) {
   if (payload.size() > kMaxPayload) {
     return Status(ErrorCode::kOutOfRange, "payload exceeds the IP length field");
   }
@@ -107,16 +142,34 @@ Status ProtocolStack::SendDatagram(IpAddr dst, Port src_port, Port dst_port,
       return Status(ErrorCode::kPermissionDenied, "blocked by egress filter");
     }
   }
-  // Sized to the frame: headroom for the three headers, tailroom for the FCS.
-  constexpr size_t kHeaders = EthHeader::kWireSize + IpHeader::kWireSize + UdpHeader::kWireSize;
-  PacketBuffer packet(kHeaders, kHeaders + payload.size() + EthHeader::kFcsSize);
-  packet.Append(payload);
-  UdpEncap(packet, UdpHeader{src_port, dst_port, 0});
-  IpEncap(packet, IpHeader{ttl, kIpProtoUdpLite, config_.ip, dst, 0});
-  EthEncap(packet, EthHeader{neighbor->second, config_.mac, kEtherTypeIpLite});
-  ++stats_.datagrams_out;
-  ++stats_.frames_out;
-  return sender_(packet.data());
+  auto send = [&](PacketBuffer& packet) {
+    UdpEncap(packet, UdpHeader{src_port, dst_port, 0});
+    IpEncap(packet, IpHeader{ttl, kIpProtoUdpLite, config_.ip, dst, 0});
+    EthEncap(packet, EthHeader{neighbor->second, config_.mac, kEtherTypeIpLite});
+    ++stats_.datagrams_out;
+    ++stats_.frames_out;
+    return sender_(packet.data());
+  };
+  const size_t frame_size = kHeaderBytes + payload.size() + EthHeader::kFcsSize;
+  if (nested || frame_size > tx_storage_.size()) {
+    // Sized to the frame: headroom for the three headers, tailroom for the
+    // FCS.
+    PacketBuffer packet(kHeaderBytes, frame_size);
+    packet.Append(payload);
+    return send(packet);
+  }
+  uint8_t* const in_place = tx_storage_.data() + kHeaderBytes;
+  if (payload.data() != in_place) {
+    // A payload elsewhere in the storage overlaps where it goes, which
+    // memcpy must not be given.
+    if (Overlaps(payload, tx_storage_)) {
+      std::memmove(in_place, payload.data(), payload.size());
+    } else {
+      CopyBytes(in_place, payload.data(), payload.size());
+    }
+  }
+  PacketBuffer packet(tx_storage_, kHeaderBytes, payload.size());
+  return send(packet);
 }
 
 bool ProtocolStack::DecapIngress(std::span<const uint8_t> frame, PacketView* view) {

@@ -3,12 +3,23 @@
 // pair, so the same stack object can be placed in the kernel protection
 // domain (direct calls into the driver) or in a user domain (proxy calls) —
 // the configurability experiment E9 and the paper's §1 motivating example.
+//
+// Transmit builds each frame once, in reusable TX storage: the caller's (a
+// StackComponent's TX page, which its driver reads the frame from) or a
+// frame-sized buffer the stack allocates once. The payload goes behind
+// kHeaderBytes of headroom, unless the caller already wrote it there
+// (TxPayload), and the headers and FCS are written around it. The storage
+// is held from SendDatagram's entry until its sender returns, so a send
+// nested in that one (a loopback sender re-entering from a handler, or an
+// egress hook) builds in a buffer of its own and leaves the outer frame —
+// which the nested send's handlers may still be reading — intact.
 #ifndef PARAMECIUM_SRC_NET_STACK_H_
 #define PARAMECIUM_SRC_NET_STACK_H_
 
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -93,7 +104,15 @@ inline constexpr StackStatsSlot kStackStatsSlots[] = {
 
 class ProtocolStack {
  public:
-  ProtocolStack(StackConfig config, FrameSender sender);
+  // The Eth, IP and UDP headers in front of a frame's payload.
+  static constexpr size_t kHeaderBytes =
+      EthHeader::kWireSize + IpHeader::kWireSize + UdpHeader::kWireSize;
+
+  // Frames are built at the start of `tx_storage`, which must outlive the
+  // stack; when it is empty, the stack allocates PacketBuffer's default
+  // capacity. A frame larger than the storage is built in a buffer of its
+  // own.
+  ProtocolStack(StackConfig config, FrameSender sender, std::span<uint8_t> tx_storage = {});
 
   // Static neighbor table (the simulation has no ARP).
   void AddNeighbor(IpAddr ip, MacAddr mac);
@@ -112,6 +131,12 @@ class ProtocolStack {
   static constexpr size_t kMaxPayload = 0xFFFF - IpHeader::kWireSize - UdpHeader::kWireSize;
   Status SendDatagram(IpAddr dst, Port src_port, Port dst_port,
                       std::span<const uint8_t> payload);
+
+  // Where the next frame's `len`-byte payload goes in the TX storage. A
+  // caller that writes the payload there and passes this span to
+  // SendDatagram saves the payload copy. Shorter than `len` (empty) when the
+  // frame would not fit the storage, or while a send holds it.
+  std::span<uint8_t> TxPayload(size_t len);
 
   // Driver-facing input: a raw frame arrived on the wire. A burst of one.
   void OnFrame(std::span<const uint8_t> frame) { OnFrameBurst({&frame, 1}); }
@@ -155,11 +180,17 @@ class ProtocolStack {
   // probe, and a Datagram on the C++ stack whose payload aliases the
   // packet's, so delivery allocates nothing.
   void Deliver(const PacketView& view);
+  // SendDatagram's body; `nested` when an outer send holds the TX storage.
+  Status Encapsulate(IpAddr dst, Port src_port, Port dst_port, std::span<const uint8_t> payload,
+                     bool nested);
 
   using SocketTable = std::unordered_map<Port, DatagramHandler>;
 
   StackConfig config_;
   FrameSender sender_;
+  std::unique_ptr<uint8_t[]> tx_owned_;  // the TX storage, unless the caller's
+  std::span<uint8_t> tx_storage_;
+  bool tx_busy_ = false;  // a send holds tx_storage_
   std::map<IpAddr, MacAddr> neighbors_;
   // A handler lives in its table node, which neither a rehash (a handler
   // may bind ports) nor an unbind moves.

@@ -485,6 +485,28 @@ Status VirtualMemoryService::WriteIo(Context* context, VAddr vaddr,
   return OkStatus();
 }
 
+Status VirtualMemoryService::ReadIoToMemory(Context* context, VAddr vaddr, VAddr dest,
+                                            size_t len) {
+  if (len == 0) {
+    return OkStatus();
+  }
+  PARA_ASSIGN_OR_RETURN(IoWindow window, ResolveIoWindow(context, vaddr, /*write=*/false));
+  PARA_ASSIGN_OR_RETURN(std::span<uint8_t> bytes,
+                        ResolveIoBuffer(context, vaddr, window, len, /*write=*/false));
+  return Write(context, dest, bytes);
+}
+
+Status VirtualMemoryService::WriteIoFromMemory(Context* context, VAddr vaddr, VAddr src,
+                                               size_t len) {
+  if (len == 0) {
+    return OkStatus();
+  }
+  PARA_ASSIGN_OR_RETURN(IoWindow window, ResolveIoWindow(context, vaddr, /*write=*/true));
+  PARA_ASSIGN_OR_RETURN(std::span<uint8_t> bytes,
+                        ResolveIoBuffer(context, vaddr, window, len, /*write=*/true));
+  return Read(context, src, bytes);
+}
+
 size_t VirtualMemoryService::free_pages() const {
   return page_bitmap_.size() - page_bitmap_.CountSet();
 }

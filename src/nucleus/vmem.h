@@ -156,6 +156,15 @@ class VirtualMemoryService : public obj::Object {
   Status ReadIo(Context* context, VAddr vaddr, std::span<uint8_t> out);
   Status WriteIo(Context* context, VAddr vaddr, std::span<const uint8_t> data);
 
+  // `len` bytes between a device-buffer window at `vaddr` and memory at
+  // `dest`/`src` of the same context, in one copy: a driver moves a frame
+  // between its caller's buffer and the device without staging it. The
+  // window span is checked as ReadIo/WriteIo check it, before any byte
+  // moves; the memory side is then copied, and can fail, as Write/Read copy
+  // it. len 0 succeeds without touching either side.
+  Status ReadIoToMemory(Context* context, VAddr vaddr, VAddr dest, size_t len);
+  Status WriteIoFromMemory(Context* context, VAddr vaddr, VAddr src, size_t len);
+
   const VmemStats& stats() const { return stats_; }
   size_t free_pages() const;
   size_t physical_pages() const { return page_refcount_.size(); }

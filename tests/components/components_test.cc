@@ -251,6 +251,36 @@ TEST_F(ComponentsTest, NetDriverOversizeFrameDoesNotStrandTheFrameBehindIt) {
   EXPECT_EQ((*driver_b)->frames_oversize(), 1u);
 }
 
+TEST_F(ComponentsTest, NetDriverPollIntoAnUnmappedBufferKeepsTheFrame) {
+  auto* vmem = &nucleus_->vmem();
+  auto* kernel = nucleus_->kernel_context();
+  auto driver_a = NetDriver::Create(vmem, &nucleus_->events(), net_a_, kernel);
+  auto driver_b = NetDriver::Create(vmem, &nucleus_->events(), net_b_, kernel);
+  ASSERT_TRUE(driver_a.ok());
+  ASSERT_TRUE(driver_b.ok());
+  obj::Interface* tx = *(*driver_a)->GetInterface(NetDriverType()->name());
+  obj::Interface* rx = *(*driver_b)->GetInterface(NetDriverType()->name());
+  auto txbuf = vmem->AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  auto rxbuf = vmem->AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  ASSERT_TRUE(txbuf.ok());
+  ASSERT_TRUE(rxbuf.ok());
+  const std::vector<uint8_t> frame = {1, 2, 3, 4, 5};
+  ASSERT_TRUE(vmem->Write(kernel, *txbuf, frame).ok());
+  ASSERT_EQ(tx->Invoke(0, *txbuf, frame.size()), 0u);
+  machine_.Advance(200);
+  Settle();
+
+  // The copy out fails, so the frame stays in the device, unacked.
+  constexpr uint64_t kUnmapped = 0x7FFF'0000'0000;
+  EXPECT_EQ(rx->Invoke(1, kUnmapped, nucleus::kPageSize), 0u);
+  EXPECT_EQ((*driver_b)->rx_frames_buffered(), 1u);
+  ASSERT_EQ(rx->Invoke(1, *rxbuf, nucleus::kPageSize), frame.size());
+  std::vector<uint8_t> got(frame.size());
+  ASSERT_TRUE(vmem->Read(kernel, *rxbuf, got).ok());
+  EXPECT_EQ(got, frame);
+  EXPECT_EQ((*driver_b)->rx_frames_buffered(), 0u);
+}
+
 TEST_F(ComponentsTest, NetDriverMeasurementInterface) {
   auto driver = NetDriver::Create(&nucleus_->vmem(), &nucleus_->events(), net_a_,
                                   nucleus_->kernel_context());

@@ -259,6 +259,86 @@ TEST_F(StackComponentTest, ZeroLengthFramesDoNotStrandFramesBehindThem) {
   EXPECT_EQ((*rx)->stack().stats().datagrams_in, 1u);
 }
 
+TEST_F(StackComponentTest, UnreadPortKeepsAnInboxDepthAndCountsTheRest) {
+  // 20 000 datagrams of 1000 B to a bound port nobody reads: the inbox
+  // keeps kInboxDepth of them and drops the rest at the tail.
+  auto* kernel = nucleus_->kernel_context();
+  auto tx = StackComponent::Create(Deps(), kernel, "/shared/net0",
+                                   net::StackConfig{0xAAAA, 0x0A000001});
+  auto rx = StackComponent::Create(Deps(), kernel, "/shared/net1",
+                                   net::StackConfig{0xBBBB, 0x0A000002});
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE(rx.ok());
+  (*tx)->stack().AddNeighbor(0x0A000002, 0xBBBB);
+  obj::Interface* siface = *(*tx)->GetInterface(StackType()->name());
+  obj::Interface* riface = *(*rx)->GetInterface(StackType()->name());
+  ASSERT_EQ(riface->Invoke(1, 80), 0u);
+  auto* vmem = &nucleus_->vmem();
+  auto sbuf = vmem->AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  auto rbuf = vmem->AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  ASSERT_TRUE(sbuf.ok());
+  ASSERT_TRUE(rbuf.ok());
+  ASSERT_TRUE(vmem->Write(kernel, *sbuf, std::vector<uint8_t>(1000, 0x3C)).ok());
+
+  constexpr uint64_t kFlood = 20'000;
+  const uint64_t ports = (uint64_t{9999} << 16) | 80;
+  for (uint64_t i = 0; i < kFlood; ++i) {
+    ASSERT_EQ(siface->Invoke(0, 0x0A000002, ports, *sbuf, 1000), 0u);
+    machine_.Advance(200);
+    nucleus_->scheduler().RunUntilIdle();
+  }
+  EXPECT_EQ((*rx)->stack().stats().datagrams_in, kFlood);
+  EXPECT_EQ((*rx)->datagrams_overflow(), kFlood - StackComponent::kInboxDepth);
+  for (size_t i = 0; i < StackComponent::kInboxDepth; ++i) {
+    ASSERT_EQ(riface->Invoke(2, 80, *rbuf, nucleus::kPageSize), 1000u) << i;
+  }
+  EXPECT_EQ(riface->Invoke(2, 80, *rbuf, nucleus::kPageSize), 0u);
+
+  // Drained, the port takes the next datagram.
+  ASSERT_TRUE(vmem->Write(kernel, *sbuf, std::vector<uint8_t>{'l', 'a', 't', 'e'}).ok());
+  ASSERT_EQ(siface->Invoke(0, 0x0A000002, ports, *sbuf, 4), 0u);
+  machine_.Advance(200);
+  Settle();
+  ASSERT_EQ(riface->Invoke(2, 80, *rbuf, nucleus::kPageSize), 4u);
+  std::vector<uint8_t> got(4);
+  ASSERT_TRUE(vmem->Read(kernel, *rbuf, got).ok());
+  EXPECT_EQ(got, (std::vector<uint8_t>{'l', 'a', 't', 'e'}));
+  EXPECT_EQ((*rx)->datagrams_overflow(), kFlood - StackComponent::kInboxDepth);
+}
+
+TEST_F(StackComponentTest, RecvIntoAnUnmappedBufferKeepsTheDatagram) {
+  auto* kernel = nucleus_->kernel_context();
+  auto tx = StackComponent::Create(Deps(), kernel, "/shared/net0",
+                                   net::StackConfig{0xAAAA, 0x0A000001});
+  auto rx = StackComponent::Create(Deps(), kernel, "/shared/net1",
+                                   net::StackConfig{0xBBBB, 0x0A000002});
+  ASSERT_TRUE(tx.ok());
+  ASSERT_TRUE(rx.ok());
+  (*tx)->stack().AddNeighbor(0x0A000002, 0xBBBB);
+  obj::Interface* riface = *(*rx)->GetInterface(StackType()->name());
+  ASSERT_EQ(riface->Invoke(1, 80), 0u);
+  auto* vmem = &nucleus_->vmem();
+  auto sbuf = vmem->AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  auto rbuf = vmem->AllocatePages(kernel, 1, nucleus::kProtReadWrite);
+  ASSERT_TRUE(sbuf.ok());
+  ASSERT_TRUE(rbuf.ok());
+  const std::vector<uint8_t> text = {'k', 'e', 'p', 't'};
+  ASSERT_TRUE(vmem->Write(kernel, *sbuf, text).ok());
+  obj::Interface* siface = *(*tx)->GetInterface(StackType()->name());
+  ASSERT_EQ(siface->Invoke(0, 0x0A000002, (uint64_t{9999} << 16) | 80, *sbuf, text.size()), 0u);
+  machine_.Advance(500);
+  Settle();
+
+  // The copy out fails, so the datagram stays queued for the next recv.
+  constexpr uint64_t kUnmapped = 0x7FFF'0000'0000;
+  EXPECT_EQ(riface->Invoke(2, 80, kUnmapped, nucleus::kPageSize), 0u);
+  ASSERT_EQ(riface->Invoke(2, 80, *rbuf, nucleus::kPageSize), text.size());
+  std::vector<uint8_t> got(text.size());
+  ASSERT_TRUE(vmem->Read(kernel, *rbuf, got).ok());
+  EXPECT_EQ(got, text);
+  EXPECT_EQ(riface->Invoke(2, 80, *rbuf, nucleus::kPageSize), 0u);
+}
+
 TEST_F(StackComponentTest, MissingDriverPathFails) {
   auto stack = StackComponent::Create(Deps(), nucleus_->kernel_context(), "/shared/ghost",
                                       net::StackConfig{0xAAAA, 0x0A000001});
