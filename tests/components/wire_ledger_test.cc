@@ -147,7 +147,9 @@ class WireLedgerTest : public para::testing::NucleusFixture {
     ASSERT_TRUE(tx_->bound_via_proxy());
     tx_->stack().AddNeighbor(kRxIp, 0xBBBB);
 
-    auto created = filter::PacketFilter::Create(filter::FilterConfig{});
+    filter::FilterConfig config;
+    config.shards = 1;  // pinned, as wire_mix pins it
+    auto created = filter::PacketFilter::Create(config);
     ASSERT_TRUE(created.ok());
     filter_ = std::move(*created);
     auto rules = filter::ParseRules("pass from 10.0.0.1/32 dport 7000-7001\ndefault drop\n");
