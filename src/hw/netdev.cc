@@ -110,8 +110,8 @@ void NetworkLink::Transmit(int from_endpoint, std::span<const uint8_t> frame, VT
   }
   if (in_flight_count_ == in_flight_.size()) {
     // Full: unroll the ring so its free end is the vector's, and add a slot.
-    std::rotate(in_flight_.begin(), in_flight_.begin() + static_cast<std::ptrdiff_t>(in_flight_head_),
-                in_flight_.end());
+    const auto head = in_flight_.begin() + static_cast<std::ptrdiff_t>(in_flight_head_);
+    std::rotate(in_flight_.begin(), head, in_flight_.end());
     in_flight_head_ = 0;
     in_flight_.push_back(
         InFlight{.bytes = std::make_unique_for_overwrite<uint8_t[]>(NetworkDevice::kMaxFrame)});
