@@ -2,14 +2,17 @@
 """A/B of Google Benchmark rows between two build trees, run back to back.
 
   scripts/bench-ab.py [--rows SET] record <parent-build> <change-build> <out.json> [reps=5]
-      Runs the rows of SET from each tree's bench binaries, parent first,
-      then change, binary by binary, with <reps> repetitions each, and
-      writes both sides' Google Benchmark JSON into <out.json> as
-      {"parent": {...}, "change": {...}}.
+      Runs the rows of SET from each tree's bench binaries, binary by
+      binary, in <reps> processes per side of one repetition each, the two
+      sides alternating which goes first, and writes both sides' Google
+      Benchmark JSON into <out.json> as {"parent": {...}, "change": {...}}.
+      A row can settle at a different speed in each process (code and page
+      placement), so the median across processes is what a side reads.
 
   scripts/bench-ab.py [--rows SET] table <file.json>
       Prints the markdown table README.md carries: each row of SET, its
-      median real time on both sides and the parent/change ratio.
+      median real time on both sides (over every repetition the file holds)
+      and the parent/change ratio.
 
 The row sets (SET defaults to copies):
   copies  the invocation path's copies: the cross-domain calls, the
@@ -22,9 +25,14 @@ The row sets (SET defaults to copies):
   wire    the paper's placement experiment E9: a datagram over the
           simulated wire from a stack component in the kernel and from one
           in a user domain, at three payload sizes
-          (bench-baseline/BENCH_wire_rings.json).
+          (bench-baseline/BENCH_wire_rings.json);
+  jit     the SFI JIT's code: the 256-rule classifiers in both modes, a
+          burst through the filter, the field-check loop, the empty
+          program, and the frame check sequence an rx_* frame and a
+          near-MTU frame carry (bench-baseline/BENCH_jit_stack.json).
 """
 import json
+import statistics
 import subprocess
 import sys
 
@@ -44,6 +52,15 @@ ROW_SETS = {
            ("bench_protocol_placement", "BM_StackInKernel/64")],
     "wire": [("bench_protocol_placement", f"BM_StackIn{placement}/{size}")
              for placement in ("Kernel", "UserDomain") for size in (64, 512, 1280)],
+    "jit": [("bench_filter", f"BM_Filter{row}/256")
+            for row in ("Trusted", "Sandboxed", "TrustedRange", "SandboxedRange")] +
+           [("bench_filter", "BM_FilterBatch/32"),
+            ("bench_filter", "BM_FilterEngineFlowPressure/4096"),
+            ("bench_sfi", "BM_SfiFieldCheckTrusted/256"),
+            ("bench_sfi", "BM_SfiFieldCheckSandboxed/256"),
+            ("bench_sfi", "BM_SfiNullTrusted"),
+            ("bench_protocol_placement", "BM_Crc32/60"),
+            ("bench_protocol_placement", "BM_Crc32/1326")],
 }
 
 
@@ -61,21 +78,26 @@ def record(rows, parent, change, path, reps):
     for binary, row in rows:
         by_binary.setdefault(binary, []).append(row)
     doc = {"parent": None, "change": None}
+    sides = (("parent", parent), ("change", change))
     for binary, names in by_binary.items():
-        for side, build in (("parent", parent), ("change", change)):
-            result = run(build, binary, names, reps)
-            if doc[side] is None:
-                doc[side] = result
-            else:
-                doc[side]["benchmarks"] += result["benchmarks"]
+        for rep in range(reps):
+            for side, build in sides if rep % 2 == 0 else sides[::-1]:
+                result = run(build, binary, names, 1)
+                if doc[side] is None:
+                    doc[side] = result
+                else:
+                    doc[side]["benchmarks"] += result["benchmarks"]
     with open(path, "w") as f:
         json.dump(doc, f, indent=1)
         f.write("\n")
 
 
 def medians(side):
-    return {b["run_name"]: b["real_time"] for b in side["benchmarks"]
-            if b.get("aggregate_name") == "median"}
+    times = {}
+    for b in side["benchmarks"]:
+        if b.get("run_type", "iteration") == "iteration":
+            times.setdefault(b["run_name"], []).append(b["real_time"])
+    return {name: statistics.median(t) for name, t in times.items()}
 
 
 def fmt(ns):

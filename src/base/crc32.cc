@@ -46,25 +46,38 @@ inline uint32_t LoadLe32(const uint8_t* p) {
 
 #if defined(__x86_64__)
 
-// CPUID.1:ECX bit 1. Read once, during static initialization; a CRC taken
-// before that reads false and runs the portable loop, which gives the same
-// result.
-bool HostHasPclmulqdq() {
+// CPUID.1:ECX bits 1 (PCLMULQDQ) and 9 (SSSE3, for the tail's pshufb). Read
+// once, during static initialization; a CRC taken before that reads false
+// and runs the portable loop, which gives the same result.
+bool HostCanFold() {
   unsigned eax = 0, ebx = 0, ecx = 0, edx = 0;
-  return __get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0 && (ecx & (1u << 1)) != 0;
+  constexpr unsigned kNeeded = (1u << 1) | (1u << 9);
+  return __get_cpuid(1, &eax, &ebx, &ecx, &edx) != 0 && (ecx & kNeeded) == kNeeded;
 }
 
-const bool kHostHasPclmulqdq = HostHasPclmulqdq();
+const bool kHostCanFold = HostCanFold();
+
+// pshufb controls for the partial block: 16 bytes from offset r move a
+// register's bytes up by 16 - r (zeros below), 16 bytes from offset 16 + r
+// move them down by r (zeros above). 0x80 selects a zero byte.
+constexpr uint8_t kShiftShuffles[48] = {
+    0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+    0x80, 0x80, 0x80, 0x80, 0,    1,    2,    3,    4,    5,    6,    7,
+    8,    9,    10,   11,   12,   13,   14,   15,   0x80, 0x80, 0x80, 0x80,
+    0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80,
+};
 
 // Carry-less-multiply folding of the reflected IEEE polynomial (Gopal et al.,
 // "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ", Intel,
-// 2009), with the paper's bit-reflected constants. `len` is a nonzero
-// multiple of 16. Four 128-bit accumulators fold 64 bytes per step (k1, k2:
-// x^(4*128+32) and x^(4*128-32) mod P), one accumulator then folds 16 bytes
-// per step (k3, k4: x^(128+32) and x^(128-32) mod P), the last 128 bits
-// reduce to 64 (k4, then k5: x^64 mod P), and Barrett reduction (mu =
-// x^64 / P, and P) leaves the 32-bit CRC.
-__attribute__((target("pclmul"))) uint32_t Crc32Fold(uint32_t crc, const uint8_t* p, size_t len) {
+// 2009), with the paper's bit-reflected constants. `len` is at least 16.
+// Four 128-bit accumulators fold 64 bytes per step (k1, k2: x^(4*128+32) and
+// x^(4*128-32) mod P), one accumulator then folds 16 bytes per step (k3, k4:
+// x^(128+32) and x^(128-32) mod P), a tail of 1-15 bytes takes one more
+// 16-byte fold over the overlapping last block, the last 128 bits reduce to
+// 64 (k4, then k5: x^64 mod P), and Barrett reduction (mu = x^64 / P, and P)
+// leaves the 32-bit CRC.
+__attribute__((target("pclmul,ssse3"))) uint32_t Crc32Fold(uint32_t crc, const uint8_t* p,
+                                                          size_t len) {
   const __m128i k1k2 = _mm_set_epi64x(0x1C6E41596, 0x154442BD4);
   const __m128i k3k4 = _mm_set_epi64x(0x0CCAA009E, 0x1751997D0);
   const __m128i k5 = _mm_set_epi64x(0, 0x163CD6124);
@@ -73,6 +86,7 @@ __attribute__((target("pclmul"))) uint32_t Crc32Fold(uint32_t crc, const uint8_t
   auto load = [](const uint8_t* at) {
     return _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
   };
+  const uint8_t* const end = p + len;
 
   __m128i acc = _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(crc)));
   p += 16;
@@ -98,6 +112,21 @@ __attribute__((target("pclmul"))) uint32_t Crc32Fold(uint32_t crc, const uint8_t
     acc = _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(acc, k3k4, 0x00),
                                       _mm_clmulepi64_si128(acc, k3k4, 0x11)),
                         load(p));
+  }
+  if (len > 0) {
+    // Partial block. The message now ends with acc's 16 bytes and then the
+    // `len` tail bytes, so its last 16 bytes are acc's bytes len..15 and the
+    // tail (from an overlapping load of the input's last 16 bytes). acc's
+    // bytes 0..len-1 come right before that block: moved to the top of a
+    // register, they fold over it like any earlier block.
+    const __m128i up = load(kShiftShuffles + len);
+    const __m128i tail_mask = _mm_cmpgt_epi8(up, _mm_set1_epi8(-1));
+    const __m128i head = _mm_shuffle_epi8(acc, up);
+    const __m128i last = _mm_or_si128(_mm_shuffle_epi8(acc, load(kShiftShuffles + 16 + len)),
+                                      _mm_and_si128(load(end - 16), tail_mask));
+    acc = _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(head, k3k4, 0x00),
+                                      _mm_clmulepi64_si128(head, k3k4, 0x11)),
+                        last);
   }
 
   // Fold the last 128 bits to 64: by k4, which also appends the 32 zero bits
@@ -135,10 +164,8 @@ uint32_t Crc32UpdateSliced(uint32_t crc, std::span<const uint8_t> data) {
 
 uint32_t Crc32Update(uint32_t crc, std::span<const uint8_t> data) {
 #if defined(__x86_64__)
-  if (kHostHasPclmulqdq && data.size() >= 16) {
-    const size_t folded = data.size() & ~size_t{15};
-    crc = Crc32Fold(crc, data.data(), folded);
-    data = data.subspan(folded);
+  if (kHostCanFold && data.size() >= 16) {
+    return Crc32Fold(crc, data.data(), data.size());
   }
 #endif
   return Crc32UpdateSliced(crc, data);

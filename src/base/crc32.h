@@ -2,12 +2,13 @@
 // simulated network link and as a cheap integrity check on component images.
 //
 // What runs where:
-//  * On x86-64 hosts whose CPUID reports PCLMULQDQ, Crc32Update runs a
-//    carry-less-multiply fold over the largest multiple of 16 bytes (64 bytes
-//    per step while 64 remain, then 16, then a Barrett reduction) and
-//    Crc32UpdateSliced finishes the tail of up to 15 bytes. The fold is
-//    compiled for that one instruction set extension alone and chosen at run
-//    time, so the build needs no -m or -march flag.
+//  * On x86-64 hosts whose CPUID reports PCLMULQDQ and SSSE3, Crc32Update
+//    runs a carry-less-multiply fold over every input of 16 bytes or more:
+//    64 bytes per step while 64 remain, then 16, then one more fold over the
+//    overlapping last 16 bytes for a tail of 1-15 (shifted into place with
+//    pshufb), then a Barrett reduction. The fold is compiled for those two
+//    instruction set extensions alone and chosen at run time, so the build
+//    needs no -m or -march flag.
 //  * Every other host, and inputs under 16 bytes, run Crc32UpdateSliced:
 //    slicing-by-8, eight 256-entry tables folding eight bytes per step, in
 //    portable C++ with no alignment requirement on the input. It stays

@@ -44,22 +44,40 @@ JitProgram::~JitProgram() {
 
 namespace {
 
-// System V x86-64. Callee-saved registers carry the VM state so host calls
-// (helpers) need no spills: rbx = JitContext*, rbp = operand-stack base,
-// r12 = sp (slot index, next free), r13 = memory base, r14 = fuel
-// (sandboxed only), r15 = instructions retired. Scratch: rax/rcx/rdx and
-// the argument registers around calls.
-constexpr int kRax = 0, kRcx = 1, kRdx = 2, kRbx = 3, kRbp = 5, kRsi = 6, kRdi = 7;
+// System V x86-64. Callee-saved registers carry the VM state, so a host call
+// (helper) never has to save it: rbx = JitContext*, rbp = operand-stack
+// base, r12 = sp (slot index, next free) as of the last cache flush, r13 =
+// memory base, r14 = fuel (sandboxed only), r15 = instructions retired.
+// rsi, rdi and r8-r11 cache the top of the operand stack within a basic
+// block (StackCache below). rax, rcx and rdx stay scratch: div takes rdx:rax,
+// variable shifts take cl, and the bounds guard compares through rcx.
+constexpr int kRax = 0, kRcx = 1, kRdx = 2, kRbx = 3, kRsp = 4, kRbp = 5, kRsi = 6, kRdi = 7;
+constexpr int kR8 = 8, kR9 = 9, kR10 = 10, kR11 = 11;
 constexpr int kR12 = 12, kR13 = 13, kR14 = 14, kR15 = 15;
 constexpr int kNoIndex = -1;
 
-// Condition codes (low nibble of 0F 8x Jcc / 0F 9x SETcc).
+// Condition codes (low nibble of 0F 8x Jcc / 0F 9x SETcc / 0F 4x CMOVcc).
 constexpr uint8_t kCcB = 0x2;   // unsigned <  (also "carry")
 constexpr uint8_t kCcAE = 0x3;  // unsigned >=
 constexpr uint8_t kCcE = 0x4;
 constexpr uint8_t kCcNE = 0x5;
 constexpr uint8_t kCcBE = 0x6;  // unsigned <=
 constexpr uint8_t kCcA = 0x7;   // unsigned >
+
+// The same unsigned condition with its operands exchanged (a < b == b > a).
+uint8_t SwapCc(uint8_t cc) {
+  switch (cc) {
+    case kCcB: return kCcA;
+    case kCcA: return kCcB;
+    case kCcAE: return kCcBE;
+    case kCcBE: return kCcAE;
+    default: return cc;  // E, NE are symmetric
+  }
+}
+
+// Group-1 ALU operations by their ModRM /digit: `op r/m64, imm` is 0x83 or
+// 0x81 /digit, and `op r/m64, r64` is opcode 8*digit + 1.
+enum Alu : uint8_t { kAluAdd = 0, kAluOr = 1, kAluAnd = 4, kAluSub = 5, kAluXor = 6, kAluCmp = 7 };
 
 constexpr int32_t kOffArgs = offsetof(JitContext, args);
 constexpr int32_t kOffMem = offsetof(JitContext, mem);
@@ -83,9 +101,12 @@ constexpr int32_t kOffBurstFuel = offsetof(JitContext, burst_fuel);
 constexpr int32_t kOffBurstOut = offsetof(JitContext, burst_out);
 constexpr int32_t kOffStaticProofs = offsetof(JitContext, static_proofs);
 
+// True when `v` survives the sign-extension of an imm32 operand.
+bool FitsImm32(uint64_t v) { return static_cast<int64_t>(v) == static_cast<int32_t>(v); }
+
 // Minimal x86-64 emitter: only the encodings the translator needs, each a
-// named method so the op templates below read like the assembly they emit.
-// Every jump is rel32 (stubs live at the buffer head, bodies can be far).
+// named method so the translator reads like the assembly it emits. Every
+// jump is rel32 (stubs live at the buffer head, bodies can be far).
 class Emitter {
  public:
   std::vector<uint8_t> buf;
@@ -102,6 +123,13 @@ class Emitter {
       buf.push_back(static_cast<uint8_t>(v >> (8 * i)));
     }
   }
+  void Imm(int32_t imm, bool imm8) {
+    if (imm8) {
+      Byte(static_cast<uint8_t>(imm));
+    } else {
+      U32(static_cast<uint32_t>(imm));
+    }
+  }
   void PatchU32(size_t at, uint32_t v) {
     for (int i = 0; i < 4; ++i) {
       buf[at + i] = static_cast<uint8_t>(v >> (8 * i));
@@ -109,7 +137,7 @@ class Emitter {
   }
 
   // REX prefix for (reg field, index, base/rm). Skipped when it would be the
-  // meaningless bare 0x40 (no 8-bit high-register operands are ever used).
+  // meaningless bare 0x40 (no 8-bit operand other than al is ever used).
   void Rex(bool w, int reg, int index, int base) {
     uint8_t rex = 0x40;
     if (w) rex |= 0x08;
@@ -163,10 +191,16 @@ class Emitter {
     Byte(0x89);
     ModRR(src, dst);
   }
+  // Shortest exact load of a 64-bit constant; leaves the flags alone.
   void MovRegImm(int reg, uint64_t imm) {
     if (imm <= 0xFFFFFFFFu) {  // mov r32, imm32 zero-extends
       Rex(false, 0, kNoIndex, reg);
       Byte(static_cast<uint8_t>(0xB8 | (reg & 7)));
+      U32(static_cast<uint32_t>(imm));
+    } else if (FitsImm32(imm)) {  // mov r64, imm32 sign-extends
+      Rex(true, 0, kNoIndex, reg);
+      Byte(0xC7);
+      ModRR(0, reg);
       U32(static_cast<uint32_t>(imm));
     } else {
       Rex(true, 0, kNoIndex, reg);
@@ -174,10 +208,11 @@ class Emitter {
       U64(imm);
     }
   }
-  void MovMemImm32(int base, int32_t disp, uint32_t imm) {  // qword store, sign-extended imm32
-    Rex(true, 0, kNoIndex, base);
+  // qword store of a sign-extended imm32.
+  void MovMemImm32(int base, int index, int scale, int32_t disp, uint32_t imm) {
+    Rex(true, 0, index, base);
     Byte(0xC7);
-    Mem(0, base, kNoIndex, 0, disp);
+    Mem(0, base, index, scale, disp);
     U32(imm);
   }
   void XorReg32(int reg) {  // xor r32, r32 — zero-extends to 64 bits
@@ -199,8 +234,8 @@ class Emitter {
     return at;
   }
 
-  // --- loads/stores through [r13 + rax] in the VM's width ---
-  void LoadWidth(int reg, int base, int index, size_t width) {
+  // --- guest memory: [base + index + disp] in the VM's width ---
+  void LoadWidth(int reg, int base, int index, int32_t disp, size_t width) {
     switch (width) {
       case 1:
         Rex(true, reg, index, base);
@@ -221,36 +256,56 @@ class Emitter {
         Byte(0x8B);
         break;
     }
-    Mem(reg, base, index, 1, 0);
+    Mem(reg, base, index, 1, disp);
   }
-  void StoreWidth(int base, int index, int reg, size_t width) {
+  void StoreWidth(int base, int index, int32_t disp, int reg, size_t width) {
     if (width == 2) Byte(0x66);
+    // A byte store from sil/dil needs a REX prefix even when bare.
+    if (width == 1 && reg >= 4 && reg < 8 && index < 8 && base < 8) Byte(0x40);
     Rex(width == 8, reg, index, base);
     Byte(width == 1 ? 0x88 : 0x89);
-    Mem(reg, base, index, 1, 0);
+    Mem(reg, base, index, 1, disp);
   }
 
   // --- ALU ---
-  void AluMemReg(uint8_t opcode, int base, int index, int scale, int32_t disp, int reg) {
-    Rex(true, reg, index, base);
-    Byte(opcode);  // 0x01 add / 0x29 sub / 0x21 and / 0x09 or / 0x31 xor: [mem] op= reg
-    Mem(reg, base, index, scale, disp);
+  void AluRegReg(Alu op, int dst, int src) {  // dst op= src (cmp: flags of dst - src)
+    Rex(true, src, kNoIndex, dst);
+    Byte(static_cast<uint8_t>(8 * op + 1));
+    ModRR(src, dst);
+  }
+  // dst op= imm32, sign-extended; `wide` false operates on the low 32 bits
+  // and zero-extends the result.
+  void AluRegImm(Alu op, int reg, int32_t imm, bool wide = true) {
+    const bool imm8 = imm >= -128 && imm <= 127;
+    Rex(wide, 0, kNoIndex, reg);
+    Byte(imm8 ? 0x83 : 0x81);
+    ModRR(op, reg);
+    Imm(imm, imm8);
+  }
+  void AluMemImm(Alu op, int base, int32_t disp, int32_t imm) {  // qword [base+disp] op= imm
+    const bool imm8 = imm >= -128 && imm <= 127;
+    Rex(true, 0, kNoIndex, base);
+    Byte(imm8 ? 0x83 : 0x81);
+    Mem(op, base, kNoIndex, 0, disp);
+    Imm(imm, imm8);
   }
   void AluRegMem(uint8_t opcode, int reg, int base, int32_t disp) {
     Rex(true, reg, kNoIndex, base);
     Byte(opcode);  // 0x03 add / 0x2B sub: reg op= [mem]
     Mem(reg, base, kNoIndex, 0, disp);
   }
-  void SubRegReg(int dst, int src) {
-    Rex(true, src, kNoIndex, dst);
-    Byte(0x29);
-    ModRR(src, dst);
-  }
-  void ImulRegMem(int reg, int base, int index, int scale, int32_t disp) {
-    Rex(true, reg, index, base);
+  void ImulRegReg(int dst, int src) {
+    Rex(true, dst, kNoIndex, src);
     Byte(0x0F);
     Byte(0xAF);
-    Mem(reg, base, index, scale, disp);
+    ModRR(dst, src);
+  }
+  void ImulRegImm(int reg, int32_t imm) {  // reg = reg * imm32
+    const bool imm8 = imm >= -128 && imm <= 127;
+    Rex(true, reg, kNoIndex, reg);
+    Byte(imm8 ? 0x6B : 0x69);
+    ModRR(reg, reg);
+    Imm(imm, imm8);
   }
   void DivReg(int reg) {  // div r64: rdx:rax / reg -> rax, rdx
     Rex(true, 0, kNoIndex, reg);
@@ -262,44 +317,26 @@ class Emitter {
     Byte(0xD3);
     ModRR(right ? 5 : 4, reg);
   }
-  void AddRegImm8(int reg, int8_t imm) {
+  void ShiftImm(int reg, bool right, uint8_t count) {  // shl/shr reg, imm8
     Rex(true, 0, kNoIndex, reg);
-    Byte(0x83);
-    ModRR(0, reg);
-    Byte(static_cast<uint8_t>(imm));
-  }
-  void SubRegImm8(int reg, int8_t imm) {
-    Rex(true, 0, kNoIndex, reg);
-    Byte(0x83);
-    ModRR(5, reg);
-    Byte(static_cast<uint8_t>(imm));
-  }
-  void CmpRegReg(int lhs, int rhs) {  // flags from lhs - rhs
-    Rex(true, rhs, kNoIndex, lhs);
-    Byte(0x39);
-    ModRR(rhs, lhs);
-  }
-  void CmpRegImm(int reg, int32_t imm) {
-    Rex(true, 0, kNoIndex, reg);
-    if (imm >= -128 && imm <= 127) {
-      Byte(0x83);
-      ModRR(7, reg);
-      Byte(static_cast<uint8_t>(imm));
-    } else {
-      Byte(0x81);
-      ModRR(7, reg);
-      U32(static_cast<uint32_t>(imm));
-    }
+    Byte(0xC1);
+    ModRR(right ? 5 : 4, reg);
+    Byte(count);
   }
   void TestRegReg(int reg) {
     Rex(true, reg, kNoIndex, reg);
     Byte(0x85);
     ModRR(reg, reg);
   }
-  void Setcc(uint8_t cc, int reg8) {  // reg8 must be al/cl/dl/bl
+  // setcc al; movzx dst32, al — a 0/1 result from the flags.
+  void SetccTo(uint8_t cc, int dst) {
     Byte(0x0F);
     Byte(static_cast<uint8_t>(0x90 | cc));
-    ModRR(0, reg8);
+    ModRR(0, kRax);
+    Rex(false, dst, kNoIndex, kRax);
+    Byte(0x0F);
+    Byte(0xB6);
+    ModRR(dst, kRax);
   }
   void Cmovcc(uint8_t cc, int dst, int src) {
     Rex(true, dst, kNoIndex, src);
@@ -307,12 +344,16 @@ class Emitter {
     Byte(static_cast<uint8_t>(0x40 | cc));
     ModRR(dst, src);
   }
+  void IncReg(int reg) {
+    Rex(true, 0, kNoIndex, reg);
+    Byte(0xFF);
+    ModRR(0, reg);
+  }
   void IncMem(int base, int32_t disp) {  // inc qword [base+disp]
     Rex(true, 0, kNoIndex, base);
     Byte(0xFF);
     Mem(0, base, kNoIndex, 0, disp);
   }
-  void AddRegImm8R15(int8_t imm) { AddRegImm8(kR15, imm); }
 
   // --- control flow ---
   void PushReg(int reg) {
@@ -375,62 +416,702 @@ constexpr int kNumFaults = static_cast<int>(JitFault::kElideFloorMiss) + 1;
 static_assert(kNumFaults == sizeof(Stubs::fault) / sizeof(size_t),
               "one stub per JitFault value");
 
-// Operand-stack accessors. r12 is the slot index of the next free slot;
-// slot_disp is in *slots* relative to r12 (e.g. -1 = top of stack).
-void LoadSlot(Emitter& e, int reg, int slot_disp) {
-  e.MovRegMem(reg, kRbp, kR12, 8, slot_disp * 8);
-}
-void StoreSlot(Emitter& e, int reg, int slot_disp) {
-  e.MovMemReg(kRbp, kR12, 8, slot_disp * 8, reg);
-}
-
-// The per-real-instruction prologue, bit-identical to the interpreter's
-// VM_METER(): sandboxed faults when fuel was already 0 (post-decrement), and
-// the retire counter is bumped only after fuel clears — so a fuel fault
-// flushes the count of instructions that actually retired.
-void Meter(Emitter& e, bool sandboxed, const Stubs& stubs) {
-  if (sandboxed) {
-    e.SubRegImm8(kR14, 1);                                          // sub r14, 1 (CF = was zero)
-    e.JccTo(kCcB, stubs.fault[static_cast<int>(JitFault::kOutOfFuel)]);
-  }
-  e.Rex(true, 0, kNoIndex, kR15);  // inc r15
-  e.Byte(0xFF);
-  e.ModRR(0, kR15);
-}
-
-// Sandboxed bounds check for an access of `width` at the address in rax,
-// clobbering rcx. Mirrors the interpreter exactly: the checks counter is
-// charged BEFORE the test (a faulting access still counts), and the test is
-// the overflow-proof pair `addr > mem_size || mem_size - addr < width`.
-void BoundsCheck(Emitter& e, size_t width, size_t fault_stub) {
-  e.IncMem(kRbx, kOffBoundsChecks);
-  e.MovRegMem(kRcx, kRbx, kNoIndex, 0, kOffMemSize);
-  e.CmpRegReg(kRax, kRcx);
-  e.JccTo(kCcA, fault_stub);
-  e.SubRegReg(kRcx, kRax);
-  e.CmpRegImm(kRcx, static_cast<int32_t>(width));
-  e.JccTo(kCcB, fault_stub);
-}
-
-// Sandboxed guard for one access: a BoundsCheck, unless the verifier's static
-// analyzer proved the access in bounds (kInsnProvenInBounds) for every memory
-// window >= program.elide_floor — the entry stub rejects smaller windows
-// before running. A proven site is still charged: it bumps ONLY
-// ctx->static_proofs (one counter RMW, same cost as the checked site's
-// bounds_checks bump), and the host folds static_proofs into bounds_checks at
-// flush time, so the coverage count is bit-identical with analyze=false.
-void AccessGuard(Emitter& e, const DecodedInsn& insn, size_t width, size_t fault_stub) {
-  if ((insn.flags & kInsnProvenInBounds) != 0) {
-    e.IncMem(kRbx, kOffStaticProofs);
-  } else {
-    BoundsCheck(e, width, fault_stub);
-  }
-}
-
 struct Fixup {
   size_t at;        // buffer offset of a rel32 to patch
   uint32_t target;  // decoded-stream index it must reach
 };
+
+// True when `insn.target` names a decoded-stream index control can reach.
+bool HasTarget(const DecodedInsn& insn) {
+  const uint8_t op = insn.op;
+  return op == static_cast<uint8_t>(Op::kJmp) || op == static_cast<uint8_t>(Op::kJz) ||
+         op == static_cast<uint8_t>(Op::kJnz) || op == static_cast<uint8_t>(Op::kCall) ||
+         (op >= kOpFusedEqJz && op <= kOpFusedGtUJnz);
+}
+
+// One operand-stack value at translation time: in a cache register, or an
+// immediate no instruction has materialized yet.
+struct Value {
+  int reg = kNoIndex;  // kNoIndex: the value is `imm`
+  uint64_t imm = 0;
+  bool is_imm() const { return reg == kNoIndex; }
+};
+Value Imm(uint64_t imm) { return {kNoIndex, imm}; }
+Value InReg(int reg) { return {reg, 0}; }
+
+constexpr int kCacheRegs[] = {kRsi, kRdi, kR8, kR9, kR10, kR11};
+// Values pushed beyond this depth spill the oldest one to its slot.
+constexpr int kMaxCached = 8;
+
+// Translates the decoded stream one basic block at a time with the top of
+// the operand stack cached (Ertl, "Stack Caching for Interpreters", PLDI
+// 1995). Each op takes its operands from the cache — or from their stack
+// slots when the cache holds fewer — and leaves its result in a cache
+// register, so a classifier test `push off; loadN; push imm; <cmp>+j<cc>`
+// becomes one load, one `cmp reg, imm` and one jcc.
+//
+// The virtual stack pointer is r12 + bias_: slots below the depth_ cached
+// values are exact in memory, and the cached values own the slots above
+// them. Flush() stores the cache and brings r12 up to date; it runs at every
+// leader (a jump/branch/call target, a call's return slot, an entry point)
+// and before every jump, branch, call, ret and hostcall, so control arrives
+// at a leader — and at the kCheckStack that opens a block — with an exact
+// r12 and an empty cache. Faults leave cached values unstored: no caller
+// reads ctx->stack after a run, and an entry stub's elide-floor miss re-runs
+// the program from scratch on the interpreter.
+//
+// Metering stays bit-identical to the threaded loop's VM_METER. Sandboxed
+// code checks fuel and bumps r15 per instruction; trusted code counts a
+// straight run at translation time and retires it with one `add r15, n`
+// before every flush point and every check that can fault.
+class Translator {
+ public:
+  Translator(Emitter& e, const Stubs& stubs, bool sandboxed)
+      : e_(e), stubs_(stubs), sandboxed_(sandboxed) {}
+
+  std::vector<Fixup> fixups;
+
+  // Stores the cache and retires the pending run: the state every leader
+  // and every control transfer needs.
+  void Sync() {
+    Flush();
+    Retire();
+  }
+
+  Status Translate(const DecodedInsn& insn, uint32_t index);
+
+ private:
+  size_t Fault(JitFault fault) const { return stubs_.fault[static_cast<int>(fault)]; }
+
+  // Opens `n` real instructions (a fused op is two), in stream order.
+  void Meter(int n) {
+    if (!sandboxed_) {
+      pending_ += n;
+      return;
+    }
+    for (int k = 0; k < n; ++k) {
+      e_.AluRegImm(kAluSub, kR14, 1);  // CF = fuel was zero
+      e_.JccTo(kCcB, Fault(JitFault::kOutOfFuel));
+      e_.IncReg(kR15);
+    }
+  }
+  void Retire() {
+    if (pending_ > 0) {
+      e_.AluRegImm(kAluAdd, kR15, pending_);
+      pending_ = 0;
+    }
+  }
+
+  // --- the stack cache ---
+  // Displacement from rbp + r12*8 of the slot `k` below the virtual stack
+  // pointer (k = 1 is the top of the stack).
+  int32_t SlotDisp(int k) const { return (bias_ - k) * 8; }
+  void StoreCached(int i) {  // cached value i (0 = oldest) to its slot
+    const int32_t disp = SlotDisp(depth_ - i);
+    const Value& v = cache_[i];
+    if (!v.is_imm()) {
+      e_.MovMemReg(kRbp, kR12, 8, disp, v.reg);
+    } else if (FitsImm32(v.imm)) {
+      e_.MovMemImm32(kRbp, kR12, 8, disp, static_cast<uint32_t>(v.imm));
+    } else {
+      e_.MovRegImm(kRax, v.imm);
+      e_.MovMemReg(kRbp, kR12, 8, disp, kRax);
+    }
+  }
+  void SpillOldest() {
+    StoreCached(0);
+    Free(cache_[0]);
+    for (int i = 1; i < depth_; ++i) {
+      cache_[i - 1] = cache_[i];
+    }
+    --depth_;
+  }
+  void Flush() {
+    for (int i = 0; i < depth_; ++i) {
+      StoreCached(i);
+      Free(cache_[i]);
+    }
+    depth_ = 0;
+    if (bias_ != 0) {
+      e_.AluRegImm(kAluAdd, kR12, bias_);
+      bias_ = 0;
+    }
+  }
+  // Control does not fall through here: whatever is cached is dead.
+  void Forget() {
+    depth_ = 0;
+    bias_ = 0;
+    in_use_ = 0;
+    pending_ = 0;
+  }
+  int Alloc() {
+    for (;;) {
+      for (int reg : kCacheRegs) {
+        if ((in_use_ & (1u << reg)) == 0) {
+          in_use_ |= 1u << reg;
+          return reg;
+        }
+      }
+      // Every register holds a value: at most three are operands an op has
+      // popped, so the cache owns the rest and its oldest can spill.
+      PARA_CHECK(depth_ > 0);
+      SpillOldest();
+    }
+  }
+  void Free(const Value& v) {
+    if (!v.is_imm()) {
+      in_use_ &= ~(1u << v.reg);
+    }
+  }
+  int ToReg(Value& v) {
+    if (v.is_imm()) {
+      const int reg = Alloc();
+      e_.MovRegImm(reg, v.imm);
+      v = InReg(reg);
+    }
+    return v.reg;
+  }
+  Value Pop() {
+    Value v;
+    if (depth_ > 0) {
+      v = cache_[--depth_];
+    } else {
+      v = InReg(Alloc());
+      e_.MovRegMem(v.reg, kRbp, kR12, 8, SlotDisp(1));
+    }
+    --bias_;
+    return v;
+  }
+  void Push(Value v) {
+    if (depth_ == kMaxCached) {
+      SpillOldest();
+    }
+    cache_[depth_++] = v;
+    ++bias_;
+  }
+  void Drop() {
+    --bias_;
+    if (depth_ > 0) {
+      Free(cache_[--depth_]);
+    }
+  }
+
+  // --- op templates ---
+  Value Binary(Op op, Value lhs, Value rhs);
+  Value DivRem(bool rem, Value lhs, Value rhs);
+  Value Shift(bool right, Value lhs, Value rhs);
+  uint8_t Compare(uint8_t cc, Value& lhs, Value& rhs);
+  void Guard(const DecodedInsn& insn, size_t width, Value& addr, JitFault fault);
+  Value Load(const DecodedInsn& insn, size_t width, Value addr);
+  void Store(const DecodedInsn& insn, size_t width, Value addr, Value value);
+  void Branch(uint8_t cc, uint32_t target) {
+    fixups.push_back({e_.JccPlaceholder(cc), target});
+  }
+  void Jump(uint32_t target) { fixups.push_back({e_.JmpPlaceholder(), target}); }
+
+  Emitter& e_;
+  const Stubs& stubs_;
+  const bool sandboxed_;
+  Value cache_[kMaxCached];
+  int depth_ = 0;         // values cached above the exact memory stack
+  int bias_ = 0;          // virtual sp minus r12
+  uint32_t in_use_ = 0;   // cache registers holding a value, by number
+  int32_t pending_ = 0;   // trusted: instructions retired since the last Retire
+};
+
+uint64_t Fold(Op op, uint64_t lhs, uint64_t rhs) {
+  switch (op) {
+    case Op::kAdd: return lhs + rhs;
+    case Op::kSub: return lhs - rhs;
+    case Op::kMul: return lhs * rhs;
+    case Op::kAnd: return lhs & rhs;
+    case Op::kOr: return lhs | rhs;
+    case Op::kXor: return lhs ^ rhs;
+    case Op::kEq: return lhs == rhs ? 1 : 0;
+    case Op::kNe: return lhs != rhs ? 1 : 0;
+    case Op::kLtU: return lhs < rhs ? 1 : 0;
+    case Op::kGtU: return lhs > rhs ? 1 : 0;
+    default: return 0;
+  }
+}
+
+// add/sub/mul/and/or/xor. The result reuses the left operand's register.
+Value Translator::Binary(Op op, Value lhs, Value rhs) {
+  if (lhs.is_imm() && rhs.is_imm()) {
+    return Imm(Fold(op, lhs.imm, rhs.imm));
+  }
+  if (lhs.is_imm() && op != Op::kSub) {
+    std::swap(lhs, rhs);  // commutative: keep the immediate on the right
+  }
+  const int dst = ToReg(lhs);
+  const Alu alu = op == Op::kAdd   ? kAluAdd
+                  : op == Op::kSub ? kAluSub
+                  : op == Op::kAnd ? kAluAnd
+                  : op == Op::kOr  ? kAluOr
+                                   : kAluXor;  // unused for mul, which takes imul
+  if (rhs.is_imm() && FitsImm32(rhs.imm)) {
+    if (op == Op::kMul) {
+      e_.ImulRegImm(dst, static_cast<int32_t>(rhs.imm));
+    } else {
+      e_.AluRegImm(alu, dst, static_cast<int32_t>(rhs.imm));
+    }
+  } else if (rhs.is_imm() && op == Op::kAnd && rhs.imm <= 0xFFFFFFFFu) {
+    // A mask with a clear upper half: the 32-bit and zero-extends exactly.
+    e_.AluRegImm(kAluAnd, dst, static_cast<int32_t>(rhs.imm), /*wide=*/false);
+  } else {
+    const int src = rhs.is_imm() ? kRax : rhs.reg;
+    if (rhs.is_imm()) {
+      e_.MovRegImm(kRax, rhs.imm);
+    }
+    if (op == Op::kMul) {
+      e_.ImulRegReg(dst, src);
+    } else {
+      e_.AluRegReg(alu, dst, src);
+    }
+    Free(rhs);
+  }
+  return InReg(dst);
+}
+
+// divu/remu: a zero divisor faults in BOTH modes, as in the interpreter.
+Value Translator::DivRem(bool rem, Value lhs, Value rhs) {
+  if (rhs.is_imm() && rhs.imm == 0) {
+    Retire();
+    e_.JmpTo(Fault(JitFault::kDivideByZero));
+    Free(lhs);
+    return Imm(0);  // unreachable; keeps the translation state balanced
+  }
+  if (lhs.is_imm() && rhs.is_imm()) {
+    return Imm(rem ? lhs.imm % rhs.imm : lhs.imm / rhs.imm);
+  }
+  int divisor = kRcx;
+  if (rhs.is_imm()) {
+    e_.MovRegImm(kRcx, rhs.imm);
+  } else {
+    Retire();
+    e_.TestRegReg(rhs.reg);
+    e_.JccTo(kCcE, Fault(JitFault::kDivideByZero));
+    divisor = rhs.reg;
+  }
+  if (lhs.is_imm()) {
+    e_.MovRegImm(kRax, lhs.imm);
+  } else {
+    e_.MovRegReg(kRax, lhs.reg);
+  }
+  e_.XorReg32(kRdx);
+  e_.DivReg(divisor);
+  const int dst = !lhs.is_imm() ? lhs.reg : rhs.reg;
+  e_.MovRegReg(dst, rem ? kRdx : kRax);
+  Free(lhs.reg == dst ? rhs : lhs);
+  return InReg(dst);
+}
+
+// shl/shr: counts >= 64 produce 0 (x86 masks cl to 6 bits, so select).
+Value Translator::Shift(bool right, Value lhs, Value rhs) {
+  if (rhs.is_imm()) {
+    if (rhs.imm >= 64) {
+      Free(lhs);
+      return Imm(0);
+    }
+    if (lhs.is_imm()) {
+      return Imm(right ? lhs.imm >> rhs.imm : lhs.imm << rhs.imm);
+    }
+    if (rhs.imm != 0) {
+      e_.ShiftImm(lhs.reg, right, static_cast<uint8_t>(rhs.imm));
+    }
+    return lhs;
+  }
+  const int dst = ToReg(lhs);
+  e_.MovRegReg(kRcx, rhs.reg);
+  e_.XorReg32(kRdx);
+  e_.ShiftCl(dst, right);
+  e_.AluRegImm(kAluCmp, rhs.reg, 64);
+  e_.Cmovcc(kCcAE, dst, kRdx);
+  Free(rhs);
+  return InReg(dst);
+}
+
+// Sets the flags for lhs - rhs and returns `cc` rewritten for the operand
+// order actually compared (an immediate always ends up on the right).
+uint8_t Translator::Compare(uint8_t cc, Value& lhs, Value& rhs) {
+  if (lhs.is_imm()) {
+    std::swap(lhs, rhs);
+    cc = SwapCc(cc);
+  }
+  if (!rhs.is_imm()) {
+    e_.AluRegReg(kAluCmp, lhs.reg, rhs.reg);
+  } else if (FitsImm32(rhs.imm)) {
+    e_.AluRegImm(kAluCmp, lhs.reg, static_cast<int32_t>(rhs.imm));
+  } else {
+    e_.MovRegImm(kRax, rhs.imm);
+    e_.AluRegReg(kAluCmp, lhs.reg, kRax);
+  }
+  return cc;
+}
+
+// Sandboxed guard for one access of `width` at `addr`. An access the
+// verifier's static analyzer proved in bounds (kInsnProvenInBounds) for
+// every window >= program.elide_floor — the entry stub rejects smaller
+// windows before running — bumps ONLY ctx->static_proofs, which the host
+// folds into bounds_checks at flush time. Any other access is charged to
+// bounds_checks BEFORE its test (a faulting access still counts), and the
+// test is the interpreter's overflow-proof `addr > mem_size || mem_size -
+// addr < width`; for a constant address that cannot overflow it is the
+// single `mem_size < addr + width`.
+void Translator::Guard(const DecodedInsn& insn, size_t width, Value& addr, JitFault fault) {
+  if (!sandboxed_) {
+    return;
+  }
+  if ((insn.flags & kInsnProvenInBounds) != 0) {
+    e_.IncMem(kRbx, kOffStaticProofs);
+    return;
+  }
+  e_.IncMem(kRbx, kOffBoundsChecks);
+  if (addr.is_imm() && addr.imm <= 0x7FFFFFF0u) {
+    e_.AluMemImm(kAluCmp, kRbx, kOffMemSize, static_cast<int32_t>(addr.imm + width));
+    e_.JccTo(kCcB, Fault(fault));
+    return;
+  }
+  const int reg = ToReg(addr);
+  e_.MovRegMem(kRcx, kRbx, kNoIndex, 0, kOffMemSize);
+  e_.AluRegReg(kAluCmp, reg, kRcx);
+  e_.JccTo(kCcA, Fault(fault));
+  e_.AluRegReg(kAluSub, kRcx, reg);
+  e_.AluRegImm(kAluCmp, kRcx, static_cast<int32_t>(width));
+  e_.JccTo(kCcB, Fault(fault));
+}
+
+// loadN: a constant address below 2^31 is a displacement off r13; trusted
+// code accesses raw, as certified native code would.
+Value Translator::Load(const DecodedInsn& insn, size_t width, Value addr) {
+  Guard(insn, width, addr, JitFault::kLoadOutOfBounds);
+  if (addr.is_imm() && addr.imm <= 0x7FFFFFFFu) {
+    const int dst = Alloc();
+    e_.LoadWidth(dst, kR13, kNoIndex, static_cast<int32_t>(addr.imm), width);
+    return InReg(dst);
+  }
+  const int reg = ToReg(addr);
+  e_.LoadWidth(reg, kR13, reg, 0, width);
+  return addr;
+}
+
+void Translator::Store(const DecodedInsn& insn, size_t width, Value addr, Value value) {
+  Guard(insn, width, addr, JitFault::kStoreOutOfBounds);
+  const int src = ToReg(value);
+  if (addr.is_imm() && addr.imm <= 0x7FFFFFFFu) {
+    e_.StoreWidth(kR13, kNoIndex, static_cast<int32_t>(addr.imm), src, width);
+  } else {
+    const int reg = ToReg(addr);
+    e_.StoreWidth(kR13, reg, 0, src, width);
+  }
+  Free(addr);
+  Free(value);
+}
+
+Status Translator::Translate(const DecodedInsn& insn, uint32_t index) {
+  const uint8_t op = insn.op;
+
+  // Fused superinstructions and synthetics first (they sit above kOpCount).
+  // A fused op meters twice: a sandboxed fuel fault can land between halves.
+  if (op >= kOpFusedPushLoad8 && op <= kOpFusedPushLoad64) {
+    Meter(2);
+    Push(Load(insn, size_t{1} << (op - kOpFusedPushLoad8), Imm(insn.imm)));
+    return OkStatus();
+  }
+  if (op >= kOpFusedEqJz && op <= kOpFusedGtUJnz) {
+    // cmp; jz/jnz — the branch condition with the comparison folded in.
+    static constexpr uint8_t kCcOf[8] = {
+        kCcNE,  // eq+jz  taken when lhs != rhs
+        kCcE,   // eq+jnz
+        kCcE,   // ne+jz  taken when lhs == rhs
+        kCcNE,  // ne+jnz
+        kCcAE,  // ltu+jz taken when lhs >= rhs
+        kCcB,   // ltu+jnz
+        kCcBE,  // gtu+jz taken when lhs <= rhs
+        kCcA,   // gtu+jnz
+    };
+    static constexpr Op kCmpOf[8] = {Op::kEq,  Op::kEq,  Op::kNe,  Op::kNe,
+                                     Op::kLtU, Op::kLtU, Op::kGtU, Op::kGtU};
+    const int fused = op - kOpFusedEqJz;
+    Meter(2);
+    Value rhs = Pop();
+    Value lhs = Pop();
+    Sync();
+    if (lhs.is_imm() && rhs.is_imm()) {
+      // Statically decided: the compare yields 1 exactly when jnz jumps.
+      if ((Fold(kCmpOf[fused], lhs.imm, rhs.imm) != 0) == ((fused & 1) != 0)) {
+        Jump(insn.target);
+      }
+      return OkStatus();
+    }
+    Branch(Compare(kCcOf[fused], lhs, rhs), insn.target);
+    Free(lhs);
+    Free(rhs);
+    return OkStatus();
+  }
+  if (op == kOpCheckStack) {
+    // Per-block stack envelope: both modes, unmetered, exactly like the
+    // interpreter's synthetic. Degenerate halves (need or grow of 0) are
+    // statically never-faulting, so no code is emitted for them.
+    const uint32_t need = StackCheckNeed(insn.imm);
+    const uint32_t grow = StackCheckGrow(insn.imm);
+    if (need == 0 && grow == 0) {
+      return OkStatus();
+    }
+    Sync();
+    if (need > 0) {
+      e_.AluRegImm(kAluCmp, kR12, static_cast<int32_t>(need));
+      e_.JccTo(kCcB, Fault(JitFault::kStackUnderflow));
+    }
+    if (grow > 0) {
+      const int64_t limit = static_cast<int64_t>(Vm::kStackSlots) - grow;
+      if (limit < 0) {
+        e_.JmpTo(Fault(JitFault::kStackOverflow));
+      } else {
+        e_.AluRegImm(kAluCmp, kR12, static_cast<int32_t>(limit));
+        e_.JccTo(kCcA, Fault(JitFault::kStackOverflow));
+      }
+    }
+    return OkStatus();
+  }
+  if (op == kOpEndOfCode) {
+    Retire();
+    e_.JmpTo(Fault(JitFault::kPcOutOfCode));
+    Forget();
+    return OkStatus();
+  }
+
+  switch (static_cast<Op>(op)) {
+    case Op::kHalt:
+      Meter(1);
+      Retire();
+      e_.JmpTo(stubs_.ret_zero);
+      Forget();
+      break;
+    case Op::kPush:
+      Meter(1);
+      Push(Imm(insn.imm));
+      break;
+    case Op::kDrop:
+      Meter(1);
+      Drop();
+      break;
+    case Op::kDup: {
+      Meter(1);
+      if (depth_ == 0) {
+        // The top stays in its slot, unchanged; only the copy is cached, so
+        // the next flush does not store the original back.
+        const int reg = Alloc();
+        e_.MovRegMem(reg, kRbp, kR12, 8, SlotDisp(1));
+        Push(InReg(reg));
+        break;
+      }
+      Value top = Pop();
+      Value copy = top;
+      if (!top.is_imm()) {
+        copy = InReg(Alloc());
+        e_.MovRegReg(copy.reg, top.reg);
+      }
+      Push(top);
+      Push(copy);
+      break;
+    }
+    case Op::kSwap: {
+      Meter(1);
+      Value top = Pop();
+      Value below = Pop();
+      Push(top);
+      Push(below);
+      break;
+    }
+
+    case Op::kAdd:
+    case Op::kSub:
+    case Op::kMul:
+    case Op::kAnd:
+    case Op::kOr:
+    case Op::kXor: {
+      Meter(1);
+      Value rhs = Pop();
+      Value lhs = Pop();
+      Push(Binary(static_cast<Op>(op), lhs, rhs));
+      break;
+    }
+    case Op::kDivU:
+    case Op::kRemU: {
+      Meter(1);
+      Value rhs = Pop();
+      Value lhs = Pop();
+      Push(DivRem(static_cast<Op>(op) == Op::kRemU, lhs, rhs));
+      break;
+    }
+    case Op::kShl:
+    case Op::kShr: {
+      Meter(1);
+      Value rhs = Pop();
+      Value lhs = Pop();
+      Push(Shift(static_cast<Op>(op) == Op::kShr, lhs, rhs));
+      break;
+    }
+    case Op::kEq:
+    case Op::kNe:
+    case Op::kLtU:
+    case Op::kGtU: {
+      const uint8_t cc = static_cast<Op>(op) == Op::kEq    ? kCcE
+                         : static_cast<Op>(op) == Op::kNe  ? kCcNE
+                         : static_cast<Op>(op) == Op::kLtU ? kCcB
+                                                           : kCcA;
+      Meter(1);
+      Value rhs = Pop();
+      Value lhs = Pop();
+      if (lhs.is_imm() && rhs.is_imm()) {
+        Push(Imm(Fold(static_cast<Op>(op), lhs.imm, rhs.imm)));
+        break;
+      }
+      const uint8_t taken = Compare(cc, lhs, rhs);
+      e_.SetccTo(taken, lhs.reg);
+      Free(rhs);
+      Push(lhs);
+      break;
+    }
+    case Op::kNot: {
+      Meter(1);
+      Value v = Pop();
+      if (v.is_imm()) {
+        Push(Imm(v.imm == 0 ? 1 : 0));
+        break;
+      }
+      e_.TestRegReg(v.reg);
+      e_.SetccTo(kCcE, v.reg);
+      Push(v);
+      break;
+    }
+
+    case Op::kLoad8:
+    case Op::kLoad16:
+    case Op::kLoad32:
+    case Op::kLoad64: {
+      Meter(1);
+      Value addr = Pop();
+      Push(Load(insn, size_t{1} << (op - static_cast<uint8_t>(Op::kLoad8)), addr));
+      break;
+    }
+    case Op::kStore8:
+    case Op::kStore16:
+    case Op::kStore32:
+    case Op::kStore64: {
+      Meter(1);
+      Value value = Pop();
+      Value addr = Pop();
+      Store(insn, size_t{1} << (op - static_cast<uint8_t>(Op::kStore8)), addr, value);
+      break;
+    }
+
+    case Op::kJmp:
+      Meter(1);
+      Sync();
+      if (insn.target != index + 1) {  // a jump to the next slot falls through
+        Jump(insn.target);
+      }
+      break;
+    case Op::kJz:
+    case Op::kJnz: {
+      Meter(1);
+      Value v = Pop();
+      Sync();
+      const bool jz = static_cast<Op>(op) == Op::kJz;
+      if (v.is_imm()) {
+        if ((v.imm == 0) == jz) {
+          Jump(insn.target);
+        }
+        break;
+      }
+      e_.TestRegReg(v.reg);
+      Branch(jz ? kCcE : kCcNE, insn.target);
+      Free(v);
+      break;
+    }
+    case Op::kCall:
+      // Depth check (both modes), then push the NATIVE address of the next
+      // decoded instruction and jump — kRet is an indirect jump, no
+      // decoded-pc round trip.
+      Meter(1);
+      Sync();
+      e_.MovRegMem(kRax, kRbx, kNoIndex, 0, kOffCallSp);
+      e_.AluRegImm(kAluCmp, kRax, static_cast<int32_t>(Vm::kCallDepth));
+      e_.JccTo(kCcAE, Fault(JitFault::kCallDepth));
+      e_.IncMem(kRbx, kOffCalls);
+      fixups.push_back({e_.LeaRipPlaceholder(kRcx), index + 1});
+      e_.MovMemReg(kRbx, kRax, 8, kOffCallStack, kRcx);
+      e_.AluRegImm(kAluAdd, kRax, 1);
+      e_.MovMemReg(kRbx, kNoIndex, 0, kOffCallSp, kRax);
+      Jump(insn.target);
+      break;
+    case Op::kRet:
+      Meter(1);
+      Sync();
+      e_.MovRegMem(kRax, kRbx, kNoIndex, 0, kOffCallSp);
+      e_.TestRegReg(kRax);
+      e_.JccTo(kCcE, stubs_.ret_zero);  // outermost frame: ret == halt 0
+      e_.AluRegImm(kAluSub, kRax, 1);
+      e_.MovMemReg(kRbx, kNoIndex, 0, kOffCallSp, kRax);
+      e_.MovRegMem(kRcx, kRbx, kRax, 8, kOffCallStack);
+      e_.JmpReg(kRcx);
+      break;
+    case Op::kLdArg: {
+      Meter(1);
+      const int reg = Alloc();
+      e_.MovRegMem(reg, kRbx, kNoIndex, 0, kOffArgs + insn.arg * 8);
+      Push(InReg(reg));
+      break;
+    }
+    case Op::kRetV: {
+      Meter(1);
+      Value v = Pop();
+      Retire();
+      if (v.is_imm() && FitsImm32(v.imm)) {
+        e_.MovMemImm32(kRbx, kNoIndex, 0, kOffResult, static_cast<uint32_t>(v.imm));
+      } else {
+        e_.MovMemReg(kRbx, kNoIndex, 0, kOffResult, ToReg(v));
+      }
+      e_.XorReg32(kRax);
+      e_.JmpTo(stubs_.exit_common);
+      Forget();
+      break;
+    }
+    case Op::kHostCall: {
+      // ABI shim. The helper clobbers every cache register, so the stack is
+      // flushed first; the VM state lives in callee-saved registers and
+      // needs nothing. An unbound slot faults BEFORE host_calls is charged,
+      // matching CallHostHelper's order.
+      Meter(1);
+      Value arg = Pop();
+      Sync();
+      const int32_t slot_disp = static_cast<int32_t>(insn.arg) * 8;
+      e_.MovRegMem(kRax, kRbx, kNoIndex, 0, kOffHelpers);
+      e_.MovRegMem(kRax, kRax, kNoIndex, 0, slot_disp);
+      e_.TestRegReg(kRax);
+      e_.JccTo(kCcE, Fault(JitFault::kUnboundHostHelper));
+      if (arg.is_imm()) {
+        e_.MovRegImm(kRsi, arg.imm);
+      } else if (arg.reg != kRsi) {
+        e_.MovRegReg(kRsi, arg.reg);
+      }
+      Free(arg);
+      e_.MovRegMem(kRdx, kRbx, kNoIndex, 0, kOffHelperCtx);
+      e_.MovRegMem(kRdi, kRdx, kNoIndex, 0, slot_disp);
+      e_.CallReg(kRax);
+      e_.IncMem(kRbx, kOffHostCalls);
+      const int reg = Alloc();
+      e_.MovRegReg(reg, kRax);
+      Push(InReg(reg));
+      break;
+    }
+    case Op::kOpCount:
+      return Status(ErrorCode::kInternal, "jit: bad decoded opcode");
+  }
+  return OkStatus();
+}
 
 }  // namespace
 
@@ -445,8 +1126,7 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
   }
   const bool sandboxed = mode == ExecMode::kSandboxed;
   Emitter e;
-  e.buf.reserve(program.code.size() * 80 + 512);
-  std::vector<Fixup> fixups;
+  e.buf.reserve(program.code.size() * 24 + 512);
   std::vector<size_t> insn_off(program.code.size());
 
   // ---- shared stubs ----
@@ -457,7 +1137,7 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
   // depends on that.
   stubs.exit_common = e.pos();
   e.MovMemReg(kRbx, kNoIndex, 0, kOffInstructions, kR15);
-  e.AddRegImm8(4 /*rsp*/, 8);
+  e.AluRegImm(kAluAdd, kRsp, 8);
   e.PopReg(kR15);
   e.PopReg(kR14);
   e.PopReg(kR13);
@@ -468,7 +1148,7 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
   // ret_zero: clean halt with result 0 (kHalt, and kRet from the outermost
   // frame, which the interpreter also treats as halt).
   stubs.ret_zero = e.pos();
-  e.MovMemImm32(kRbx, kOffResult, 0);
+  e.MovMemImm32(kRbx, kNoIndex, 0, kOffResult, 0);
   e.XorReg32(kRax);
   e.JmpTo(stubs.exit_common);
   for (int f = 1; f < kNumFaults; ++f) {
@@ -476,293 +1156,33 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
     e.MovRegImm(kRax, static_cast<uint64_t>(f));
     e.JmpTo(stubs.exit_common);
   }
-  const size_t fault_load = stubs.fault[static_cast<int>(JitFault::kLoadOutOfBounds)];
-  const size_t fault_store = stubs.fault[static_cast<int>(JitFault::kStoreOutOfBounds)];
 
-  // ---- body: one template per decoded instruction ----
+  // ---- leaders: where control can arrive other than by falling through ----
+  std::vector<bool> leader(program.code.size(), false);
+  for (uint32_t entry : program.entry_points) {
+    leader[entry] = true;
+  }
   for (size_t i = 0; i < program.code.size(); ++i) {
-    const DecodedInsn& insn = program.code[i];
-    insn_off[i] = e.pos();
-    const uint8_t op = insn.op;
-
-    // Fused superinstructions and synthetics first (they sit above kOpCount).
-    if (op >= kOpFusedPushLoad8 && op <= kOpFusedPushLoad64) {
-      // push imm; loadN — meters twice (fuel faults can land between the
-      // halves), then one guard on the immediate address.
-      const size_t width = size_t{1} << (op - kOpFusedPushLoad8);
-      Meter(e, sandboxed, stubs);
-      Meter(e, sandboxed, stubs);
-      e.MovRegImm(kRax, insn.imm);
-      if (sandboxed) {
-        AccessGuard(e, insn, width, fault_load);
+    if (HasTarget(program.code[i])) {
+      leader[program.code[i].target] = true;
+      if (program.code[i].op == static_cast<uint8_t>(Op::kCall)) {
+        leader[i + 1] = true;  // the return slot
       }
-      e.LoadWidth(kRax, kR13, kRax, width);
-      StoreSlot(e, kRax, 0);
-      e.AddRegImm8(kR12, 1);
-      continue;
-    }
-    if (op >= kOpFusedEqJz && op <= kOpFusedGtUJnz) {
-      // cmp; jz/jnz — pops both operands, branches on the folded condition.
-      static constexpr uint8_t kCcOf[8] = {
-          kCcNE,  // eq+jz  taken when lhs != rhs
-          kCcE,   // eq+jnz
-          kCcE,   // ne+jz  taken when lhs == rhs
-          kCcNE,  // ne+jnz
-          kCcAE,  // ltu+jz taken when lhs >= rhs
-          kCcB,   // ltu+jnz
-          kCcBE,  // gtu+jz taken when lhs <= rhs
-          kCcA,   // gtu+jnz
-      };
-      Meter(e, sandboxed, stubs);
-      Meter(e, sandboxed, stubs);
-      e.SubRegImm8(kR12, 2);
-      LoadSlot(e, kRcx, 1);  // rhs (old top)
-      LoadSlot(e, kRax, 0);  // lhs
-      e.CmpRegReg(kRax, kRcx);
-      fixups.push_back({e.JccPlaceholder(kCcOf[op - kOpFusedEqJz]), insn.target});
-      continue;
-    }
-    if (op == kOpCheckStack) {
-      // Per-block stack envelope: both modes, unmetered, exactly like the
-      // interpreter's synthetic. Degenerate halves (need or grow of 0) are
-      // statically never-faulting, so no code is emitted for them.
-      const uint32_t need = StackCheckNeed(insn.imm);
-      const uint32_t grow = StackCheckGrow(insn.imm);
-      if (need > 0) {
-        e.CmpRegImm(kR12, static_cast<int32_t>(need));
-        e.JccTo(kCcB, stubs.fault[static_cast<int>(JitFault::kStackUnderflow)]);
-      }
-      if (grow > 0) {
-        const int64_t limit = static_cast<int64_t>(Vm::kStackSlots) - grow;
-        if (limit < 0) {
-          e.JmpTo(stubs.fault[static_cast<int>(JitFault::kStackOverflow)]);
-        } else {
-          e.CmpRegImm(kR12, static_cast<int32_t>(limit));
-          e.JccTo(kCcA, stubs.fault[static_cast<int>(JitFault::kStackOverflow)]);
-        }
-      }
-      continue;
-    }
-    if (op == kOpEndOfCode) {
-      e.JmpTo(stubs.fault[static_cast<int>(JitFault::kPcOutOfCode)]);
-      continue;
-    }
-
-    switch (static_cast<Op>(op)) {
-      case Op::kHalt:
-        Meter(e, sandboxed, stubs);
-        e.JmpTo(stubs.ret_zero);
-        break;
-      case Op::kPush:
-        Meter(e, sandboxed, stubs);
-        e.MovRegImm(kRax, insn.imm);
-        StoreSlot(e, kRax, 0);
-        e.AddRegImm8(kR12, 1);
-        break;
-      case Op::kDrop:
-        Meter(e, sandboxed, stubs);
-        e.SubRegImm8(kR12, 1);
-        break;
-      case Op::kDup:
-        Meter(e, sandboxed, stubs);
-        LoadSlot(e, kRax, -1);
-        StoreSlot(e, kRax, 0);
-        e.AddRegImm8(kR12, 1);
-        break;
-      case Op::kSwap:
-        Meter(e, sandboxed, stubs);
-        LoadSlot(e, kRax, -1);
-        LoadSlot(e, kRcx, -2);
-        StoreSlot(e, kRcx, -1);
-        StoreSlot(e, kRax, -2);
-        break;
-
-      case Op::kAdd:
-      case Op::kSub:
-      case Op::kAnd:
-      case Op::kOr:
-      case Op::kXor: {
-        // Memory-destination form: [new top] op= rhs.
-        static constexpr uint8_t kAlu[] = {0x01, 0x29, 0x21, 0x09, 0x31};
-        uint8_t alu = op == static_cast<uint8_t>(Op::kAdd)   ? kAlu[0]
-                      : op == static_cast<uint8_t>(Op::kSub) ? kAlu[1]
-                      : op == static_cast<uint8_t>(Op::kAnd) ? kAlu[2]
-                      : op == static_cast<uint8_t>(Op::kOr)  ? kAlu[3]
-                                                             : kAlu[4];
-        Meter(e, sandboxed, stubs);
-        e.SubRegImm8(kR12, 1);
-        LoadSlot(e, kRcx, 0);  // rhs
-        e.AluMemReg(alu, kRbp, kR12, 8, -8, kRcx);
-        break;
-      }
-      case Op::kMul:
-        Meter(e, sandboxed, stubs);
-        e.SubRegImm8(kR12, 1);
-        LoadSlot(e, kRax, -1);
-        e.ImulRegMem(kRax, kRbp, kR12, 8, 0);
-        StoreSlot(e, kRax, -1);
-        break;
-      case Op::kDivU:
-      case Op::kRemU:
-        // rhs == 0 faults in BOTH modes, same as the interpreter.
-        Meter(e, sandboxed, stubs);
-        e.SubRegImm8(kR12, 1);
-        LoadSlot(e, kRcx, 0);
-        e.TestRegReg(kRcx);
-        e.JccTo(kCcE, stubs.fault[static_cast<int>(JitFault::kDivideByZero)]);
-        LoadSlot(e, kRax, -1);
-        e.XorReg32(kRdx);
-        e.DivReg(kRcx);
-        StoreSlot(e, static_cast<Op>(op) == Op::kDivU ? kRax : kRdx, -1);
-        break;
-      case Op::kShl:
-      case Op::kShr:
-        // Shift counts >= 64 produce 0 (x86 masks cl to 6 bits, so select).
-        Meter(e, sandboxed, stubs);
-        e.SubRegImm8(kR12, 1);
-        LoadSlot(e, kRcx, 0);
-        LoadSlot(e, kRax, -1);
-        e.XorReg32(kRdx);
-        e.ShiftCl(kRax, static_cast<Op>(op) == Op::kShr);
-        e.CmpRegImm(kRcx, 64);
-        e.Cmovcc(kCcAE, kRax, kRdx);
-        StoreSlot(e, kRax, -1);
-        break;
-      case Op::kEq:
-      case Op::kNe:
-      case Op::kLtU:
-      case Op::kGtU: {
-        uint8_t cc = static_cast<Op>(op) == Op::kEq    ? kCcE
-                     : static_cast<Op>(op) == Op::kNe  ? kCcNE
-                     : static_cast<Op>(op) == Op::kLtU ? kCcB
-                                                       : kCcA;
-        Meter(e, sandboxed, stubs);
-        e.SubRegImm8(kR12, 1);
-        LoadSlot(e, kRcx, 0);   // rhs
-        LoadSlot(e, kRax, -1);  // lhs
-        e.XorReg32(kRdx);
-        e.CmpRegReg(kRax, kRcx);
-        e.Setcc(cc, kRdx);
-        StoreSlot(e, kRdx, -1);
-        break;
-      }
-      case Op::kNot:
-        Meter(e, sandboxed, stubs);
-        LoadSlot(e, kRax, -1);
-        e.XorReg32(kRcx);
-        e.TestRegReg(kRax);
-        e.Setcc(kCcE, kRcx);
-        StoreSlot(e, kRcx, -1);
-        break;
-
-      case Op::kLoad8:
-      case Op::kLoad16:
-      case Op::kLoad32:
-      case Op::kLoad64: {
-        const size_t width = size_t{1} << (op - static_cast<uint8_t>(Op::kLoad8));
-        Meter(e, sandboxed, stubs);
-        LoadSlot(e, kRax, -1);  // addr; top is replaced in place
-        if (sandboxed) {
-          AccessGuard(e, insn, width, fault_load);
-        }
-        e.LoadWidth(kRax, kR13, kRax, width);
-        StoreSlot(e, kRax, -1);
-        break;
-      }
-      case Op::kStore8:
-      case Op::kStore16:
-      case Op::kStore32:
-      case Op::kStore64: {
-        const size_t width = size_t{1} << (op - static_cast<uint8_t>(Op::kStore8));
-        Meter(e, sandboxed, stubs);
-        e.SubRegImm8(kR12, 2);
-        LoadSlot(e, kRdx, 1);  // stored value (old top)
-        LoadSlot(e, kRax, 0);  // addr
-        if (sandboxed) {
-          AccessGuard(e, insn, width, fault_store);
-        }
-        e.StoreWidth(kR13, kRax, kRdx, width);
-        break;
-      }
-
-      case Op::kJmp:
-        Meter(e, sandboxed, stubs);
-        fixups.push_back({e.JmpPlaceholder(), insn.target});
-        break;
-      case Op::kJz:
-      case Op::kJnz:
-        Meter(e, sandboxed, stubs);
-        e.SubRegImm8(kR12, 1);
-        LoadSlot(e, kRax, 0);
-        e.TestRegReg(kRax);
-        fixups.push_back(
-            {e.JccPlaceholder(static_cast<Op>(op) == Op::kJz ? kCcE : kCcNE), insn.target});
-        break;
-      case Op::kCall: {
-        // Depth check (both modes), then push the NATIVE address of the next
-        // decoded instruction and jump — kRet is an indirect jump, no
-        // decoded-pc round trip.
-        Meter(e, sandboxed, stubs);
-        e.MovRegMem(kRax, kRbx, kNoIndex, 0, kOffCallSp);
-        e.CmpRegImm(kRax, static_cast<int32_t>(Vm::kCallDepth));
-        e.JccTo(kCcAE, stubs.fault[static_cast<int>(JitFault::kCallDepth)]);
-        e.IncMem(kRbx, kOffCalls);
-        fixups.push_back({e.LeaRipPlaceholder(kRcx), static_cast<uint32_t>(i + 1)});
-        e.MovMemReg(kRbx, kRax, 8, kOffCallStack, kRcx);
-        e.AddRegImm8(kRax, 1);
-        e.MovMemReg(kRbx, kNoIndex, 0, kOffCallSp, kRax);
-        fixups.push_back({e.JmpPlaceholder(), insn.target});
-        break;
-      }
-      case Op::kRet:
-        Meter(e, sandboxed, stubs);
-        e.MovRegMem(kRax, kRbx, kNoIndex, 0, kOffCallSp);
-        e.TestRegReg(kRax);
-        e.JccTo(kCcE, stubs.ret_zero);  // outermost frame: ret == halt 0
-        e.SubRegImm8(kRax, 1);
-        e.MovMemReg(kRbx, kNoIndex, 0, kOffCallSp, kRax);
-        e.MovRegMem(kRcx, kRbx, kRax, 8, kOffCallStack);
-        e.JmpReg(kRcx);
-        break;
-      case Op::kLdArg:
-        Meter(e, sandboxed, stubs);
-        e.MovRegMem(kRax, kRbx, kNoIndex, 0, kOffArgs + insn.arg * 8);
-        StoreSlot(e, kRax, 0);
-        e.AddRegImm8(kR12, 1);
-        break;
-      case Op::kRetV:
-        Meter(e, sandboxed, stubs);
-        e.SubRegImm8(kR12, 1);
-        LoadSlot(e, kRax, 0);
-        e.MovMemReg(kRbx, kNoIndex, 0, kOffResult, kRax);
-        e.XorReg32(kRax);
-        e.JmpTo(stubs.exit_common);
-        break;
-      case Op::kHostCall: {
-        // ABI shim: VM state lives entirely in callee-saved registers, so the
-        // C call needs no spills. Unbound slot faults BEFORE host_calls is
-        // charged, matching CallHostHelper's order.
-        Meter(e, sandboxed, stubs);
-        const int32_t slot_disp = static_cast<int32_t>(insn.arg) * 8;
-        e.MovRegMem(kRax, kRbx, kNoIndex, 0, kOffHelpers);
-        e.MovRegMem(kRax, kRax, kNoIndex, 0, slot_disp);
-        e.TestRegReg(kRax);
-        e.JccTo(kCcE, stubs.fault[static_cast<int>(JitFault::kUnboundHostHelper)]);
-        e.MovRegMem(kRdx, kRbx, kNoIndex, 0, kOffHelperCtx);
-        e.MovRegMem(kRdi, kRdx, kNoIndex, 0, slot_disp);
-        LoadSlot(e, kRsi, -1);
-        e.CallReg(kRax);
-        StoreSlot(e, kRax, -1);
-        e.IncMem(kRbx, kOffHostCalls);
-        break;
-      }
-      case Op::kOpCount:
-        return Status(ErrorCode::kInternal, "jit: bad decoded opcode");
     }
   }
 
+  // ---- body: basic blocks with the stack top cached ----
+  Translator t(e, stubs, sandboxed);
+  for (size_t i = 0; i < program.code.size(); ++i) {
+    if (leader[i]) {
+      t.Sync();  // the fall-through path arrives like every jump: flushed
+    }
+    insn_off[i] = e.pos();
+    PARA_RETURN_IF_ERROR(t.Translate(program.code[i], static_cast<uint32_t>(i)));
+  }
+
   // ---- resolve decoded-stream jump targets ----
-  for (const Fixup& fixup : fixups) {
+  for (const Fixup& fixup : t.fixups) {
     const size_t target = insn_off[fixup.target];
     e.PatchU32(fixup.at, static_cast<uint32_t>(target - (fixup.at + 4)));
   }
@@ -779,7 +1199,7 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
     e.PushReg(kR13);
     e.PushReg(kR14);
     e.PushReg(kR15);
-    e.SubRegImm8(4 /*rsp*/, 8);
+    e.AluRegImm(kAluSub, kRsp, 8);
     e.MovRegReg(kRbx, kRdi);
     e.Lea(kRbp, kRbx, kNoIndex, 0, kOffStack);
     e.XorReg32(kR12);
@@ -793,10 +1213,10 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
       // elide_floor usable bytes. A run over a smaller window (shrunk
       // memory(), deep burst re-base) bails out to the host before executing
       // anything; the host re-runs it on the checked interpreter.
-      // CmpRegImm is imm32-only, so the floor goes through rcx.
+      // A cmp immediate is imm32-only, so the floor goes through rcx.
       e.MovRegMem(kRax, kRbx, kNoIndex, 0, kOffMemSize);
       e.MovRegImm(kRcx, program.elide_floor);
-      e.CmpRegReg(kRax, kRcx);
+      e.AluRegReg(kAluCmp, kRax, kRcx);
       e.JccTo(kCcB, stubs.fault[static_cast<int>(JitFault::kElideFloorMiss)]);
     }
     e.JmpTo(insn_off[entry]);
@@ -821,7 +1241,7 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
     e.PushReg(kR13);
     e.PushReg(kR14);
     e.PushReg(kR15);
-    e.SubRegImm8(4 /*rsp*/, 8);  // entry stubs expect C++-caller alignment
+    e.AluRegImm(kAluSub, kRsp, 8);  // entry stubs expect C++-caller alignment
     e.MovRegReg(kRbx, kRdi);
     e.MovRegMem(kRbp, kRbx, kNoIndex, 0, kOffBurstMem);      // slot base cursor
     e.MovRegMem(kR12, kRbx, kNoIndex, 0, kOffBurstMemSize);  // slot size cursor
@@ -837,7 +1257,7 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
       e.MovRegMem(kRax, kRbx, kNoIndex, 0, kOffBurstFuel);
       e.MovMemReg(kRbx, kNoIndex, 0, kOffFuel, kRax);
     }
-    e.MovMemImm32(kRbx, kOffCallSp, 0);
+    e.MovMemImm32(kRbx, kNoIndex, 0, kOffCallSp, 0);
     e.MovRegReg(kRdi, kRbx);
     e.CallTo(entry_offsets[m]);
     e.MovMemReg(kR13, kNoIndex, 0, 8, kRax);  // pair.fault (0 = clean)
@@ -846,12 +1266,12 @@ Result<std::unique_ptr<const JitProgram>> JitCompile(const VerifiedProgram& prog
     e.AluRegMem(0x03, kR15, kRbx, kOffInstructions);    // += this run's retire count
     e.AluRegMem(0x03, kRbp, kRbx, kOffBurstStride);     // next slot base
     e.AluRegMem(0x2B, kR12, kRbx, kOffBurstStride);     // window shrinks in step
-    e.AddRegImm8(kR13, 16);
-    e.SubRegImm8(kR14, 1);
+    e.AluRegImm(kAluAdd, kR13, 16);
+    e.AluRegImm(kAluSub, kR14, 1);
     e.JccTo(kCcNE, loop_top);
     e.PatchU32(skip, static_cast<uint32_t>(e.pos() - (skip + 4)));
     e.MovMemReg(kRbx, kNoIndex, 0, kOffInstructions, kR15);  // burst total
-    e.AddRegImm8(4 /*rsp*/, 8);
+    e.AluRegImm(kAluAdd, kRsp, 8);
     e.PopReg(kR15);
     e.PopReg(kR14);
     e.PopReg(kR13);

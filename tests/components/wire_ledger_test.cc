@@ -1,6 +1,7 @@
 // Exact-count guards on the wire path: allocations and CopyBytes calls, not
-// timings. This binary replaces the global operator new and para::CopyBytes
-// (src/base/copy.h) with counting versions — the static linker then never
+// timings. This binary links the counting global operator new of
+// tests/support/counting_new.cc and replaces para::CopyBytes
+// (src/base/copy.h) with a counting version — the static linker then never
 // pulls src/base/copy.cc in — so each count is an assertion that cannot flip
 // on a noisy host:
 //  - after warm-up, a datagram from a user-domain stack through the proxy to
@@ -18,10 +19,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "src/base/copy.h"
@@ -32,25 +31,12 @@
 #include "src/filter/filter.h"
 #include "src/filter/rule.h"
 #include "tests/components/test_fixture.h"
+#include "tests/support/counting_new.h"
 
 namespace {
 
-std::atomic<uint64_t> g_allocs{0};
 std::atomic<uint64_t> g_copies{0};
 std::atomic<uint64_t> g_copy_bytes{0};
-
-void* CountedAlloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const auto a = static_cast<std::size_t>(align);
-  return std::aligned_alloc(a, (size + a - 1) / a * a);
-}
-
-uint64_t Allocs() { return g_allocs.load(std::memory_order_relaxed); }
 
 }  // namespace
 
@@ -65,48 +51,6 @@ void CopyBytes(void* dst, const void* src, size_t n) {
 }
 
 }  // namespace para
-
-// The replaceable global allocation functions, all on malloc/free (as in
-// tests/filter/alloc_guard_test.cc).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-  if (void* p = CountedAlloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  if (void* p = CountedAlloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept { return CountedAlloc(size); }
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size);
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  if (void* p = CountedAlignedAlloc(size, align)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  if (void* p = CountedAlignedAlloc(size, align)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
 
 namespace para::components {
 namespace {

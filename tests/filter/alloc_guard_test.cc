@@ -1,6 +1,6 @@
-// Exact-count allocation guards. This binary — and only this one — replaces
-// the global operator new with a counting one, so "allocates nothing" is an
-// assertion on a count that cannot flip on a noisy host:
+// Exact-count allocation guards. This binary links the counting global
+// operator new of tests/support/counting_new.cc, so "allocates nothing" is
+// an assertion on a count that cannot flip on a noisy host:
 //  - a constructed FlowTable serves insert/find/erase/expiry churn without
 //    allocating;
 //  - after warm-up, PacketFilter::EvaluateBatch allocates nothing in the
@@ -14,11 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <span>
 #include <string>
 #include <vector>
@@ -32,68 +29,7 @@
 #include "src/net/pktbuf.h"
 #include "src/net/stack.h"
 #include "src/nucleus/cert.h"
-
-namespace {
-
-std::atomic<uint64_t> g_allocs{0};
-
-void* CountedAlloc(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(size == 0 ? 1 : size);
-}
-
-void* CountedAlignedAlloc(std::size_t size, std::align_val_t align) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const auto a = static_cast<std::size_t>(align);
-  return std::aligned_alloc(a, (size + a - 1) / a * a);
-}
-
-uint64_t Allocs() { return g_allocs.load(std::memory_order_relaxed); }
-
-}  // namespace
-
-// The replaceable global allocation functions, all on malloc/free. GCC 12
-// flags free() in a replacement operator delete as mismatched with the
-// operator new it pairs with; that is the pairing these definitions are.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-void* operator new(std::size_t size) {
-  if (void* p = CountedAlloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) {
-  if (void* p = CountedAlloc(size)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept { return CountedAlloc(size); }
-void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  return CountedAlloc(size);
-}
-void* operator new(std::size_t size, std::align_val_t align) {
-  if (void* p = CountedAlignedAlloc(size, align)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size, std::align_val_t align) {
-  if (void* p = CountedAlignedAlloc(size, align)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-#pragma GCC diagnostic pop
+#include "tests/support/counting_new.h"
 
 namespace para::filter {
 namespace {
@@ -101,6 +37,15 @@ namespace {
 using net::FilterDecision;
 using net::FilterDirection;
 using net::PacketView;
+
+// The guards below mean something only while the counting operator new is
+// linked in: a heap allocation the optimizer cannot elide must move the count.
+TEST(AllocGuardTest, CountingOperatorNewIsLinked) {
+  const uint64_t before = Allocs();
+  auto block = std::make_unique<std::array<uint8_t, 64>>();
+  asm volatile("" : : "g"(block.get()) : "memory");
+  EXPECT_EQ(Allocs() - before, 1u);
+}
 
 TEST(AllocGuardTest, FlowTableChurnAllocatesNothing) {
   VirtualClock clock;

@@ -6,7 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
+#include "src/base/random.h"
+#include "src/filter/compiler.h"
+#include "src/filter/rule.h"
 #include "src/sfi/assembler.h"
 #include "src/sfi/jit.h"
 #include "src/sfi/verifier.h"
@@ -233,6 +237,50 @@ TEST(JitTest, CallRetAndMemoryTrafficParity) {
   for (ExecMode mode : {ExecMode::kSandboxed, ExecMode::kTrusted}) {
     ExpectBackendParity(src, mode, Vm::kDefaultFuel, /*a0=*/17);
   }
+}
+
+// The shape of the rule sets the filter tests and the end-to-end receive
+// workloads generate: udplite rules over nesting /16 and /24 source
+// prefixes under 10/8 with exact ports and port ranges, three in ten of
+// them drop rules. Fixed seed, so the classifier is the same on every host.
+std::string PrefixRangeRuleText(size_t rules) {
+  para::Random rng(0x5EED);
+  std::string text;
+  for (size_t i = 0; i < rules; ++i) {
+    text += rng.NextBelow(10) < 3 ? "drop" : "pass";
+    const int prefix = rng.NextBelow(10) < 4 ? 16 : 24;
+    text += " proto 17 from 10." + std::to_string(rng.NextBelow(64)) + "." +
+            std::to_string(prefix == 16 ? 0 : rng.NextBelow(256)) + ".0/" +
+            std::to_string(prefix);
+    const uint64_t port = 1000 + 100 * rng.NextBelow(16);
+    const uint64_t width = rng.NextBelow(4) == 0 ? 0 : rng.NextBelow(200);
+    text += " dport " + std::to_string(port) + "-" + std::to_string(port + width) + "\n";
+  }
+  return text + "default drop\n";
+}
+
+// Cost ledger: the JIT's output depends only on the decoded stream, so a
+// fixed classifier compiles to a fixed number of bytes in each mode. A
+// change to the rule compiler, the verifier or code generation that moves
+// these numbers updates them and says why in CHANGES.md.
+TEST(JitTest, CodeSizeOfAFixed256RuleClassifier) {
+  if (!JitSupported()) {
+    GTEST_SKIP() << "JIT compiled out on this host";
+  }
+  auto rules = filter::ParseRules(PrefixRangeRuleText(256));
+  ASSERT_TRUE(rules.ok()) << rules.status().message();
+  auto compiled = filter::CompileRules(*rules);
+  ASSERT_TRUE(compiled.ok()) << compiled.status().message();
+  ASSERT_EQ(compiled->backend, filter::CompileBackend::kDecisionTree);
+  auto verified = Verify(compiled->program);
+  ASSERT_TRUE(verified.ok()) << verified.status().message();
+  auto trusted = JitCompile(*verified, ExecMode::kTrusted);
+  auto sandboxed = JitCompile(*verified, ExecMode::kSandboxed);
+  ASSERT_TRUE(trusted.ok()) << trusted.status().message();
+  ASSERT_TRUE(sandboxed.ok()) << sandboxed.status().message();
+  EXPECT_EQ(verified->code.size(), 5166u);
+  EXPECT_EQ((*trusted)->code_bytes(), 36847u);
+  EXPECT_EQ((*sandboxed)->code_bytes(), 130381u);
 }
 
 }  // namespace
